@@ -62,7 +62,8 @@ def _parse_coefficients(obj, dim):
 
 def _parse_dim(obj):
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    # bool is a subclass of int, but true is not a dimension
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise DocumentError("dim must be a positive integer")
     return dim
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _poly
+from . import _linalg, _poly
 from .errors import PreconditionError
 
 
@@ -205,7 +205,7 @@ class JetMatrix:
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "JetMatrix":
-        mats = [_ident(dim)] + [_zero_mat(dim) for _ in range(order)]
+        mats = [_linalg.identity(dim)] + [_linalg.zeros(dim, dim)] * order
         return cls(dim, tuple(mats))
 
     @classmethod
@@ -222,9 +222,6 @@ class JetMatrix:
     def entry(self, i: int, j: int) -> Jet:
         return Jet(tuple(mat[i][j] for mat in self.coeffs))
 
-    def entries(self):
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
     def truncate(self, order: int) -> "JetMatrix":
         if order >= self.known_order:
             return self
@@ -233,14 +230,14 @@ class JetMatrix:
     def __add__(self, other: "JetMatrix") -> "JetMatrix":
         k = min(self.known_order, other.known_order)
         mats = [
-            _mat_add(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
+            _linalg.madd(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
         ]
         return JetMatrix(self.dim, tuple(mats))
 
     def __sub__(self, other: "JetMatrix") -> "JetMatrix":
         k = min(self.known_order, other.known_order)
         mats = [
-            _mat_sub(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
+            _linalg.msub(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
         ]
         return JetMatrix(self.dim, tuple(mats))
 
@@ -248,9 +245,11 @@ class JetMatrix:
         k = min(self.known_order, other.known_order)
         mats = []
         for t in range(k + 1):
-            acc = _zero_mat(self.dim)
+            acc = _linalg.zeros(self.dim, self.dim)
             for i in range(t + 1):
-                acc = _mat_add(acc, _mat_mul(self.coeffs[i], other.coeffs[t - i]))
+                acc = _linalg.madd(
+                    acc, _linalg.matmul(self.coeffs[i], other.coeffs[t - i])
+                )
             mats.append(acc)
         return JetMatrix(self.dim, tuple(mats))
 
@@ -265,75 +264,17 @@ class JetMatrix:
         ]
 
 
-def _ident(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _zero_mat(n):
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _det_cofactor(entries, order: int) -> Jet:
-    """First-column cofactor expansion, memoized over row subsets."""
-    n = len(entries)
-    if n == 0:
-        return Jet.one(order)
-    cache: dict = {}
-
-    def rec(rows: tuple, col: int) -> Jet:
-        if not rows:
-            return Jet.one(order)
-        key = rows
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        acc = Jet.zero(order)
-        for pos, r in enumerate(rows):
-            e = entries[r][col]
-            if e.is_zero():
-                continue
-            rest = rows[:pos] + rows[pos + 1 :]
-            term = e * rec(rest, col + 1)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return rec(tuple(range(n)), 0)
-
-
 def jet_det(m: JetMatrix) -> Jet:
     """Determinant in the truncated jet ring.
 
-    Dimensions up to 5 use a fixed cofactor expansion directly on the jets;
-    larger matrices go through fraction-free Bareiss elimination on the
-    polynomial lift (pivot-based elimination on jets themselves would be
-    unsound: the jet ring has zero divisors).  Both strategies agree with
-    the truncation of the exact determinant.
+    The exact determinant of the polynomial lift, by fraction-free Bareiss
+    elimination over Z[x], truncated to the known order.  Truncation is a
+    ring homomorphism, so this is the jet determinant at every dimension
+    (pivoting on the jets themselves would be unsound: the jet ring has
+    zero divisors).
     """
-    order = m.known_order
-    if m.dim <= 5:
-        return _det_cofactor(m.entries(), order)
     d = _poly.mat_det_bareiss(m.polynomial_lift())
-    return Jet.from_polynomial(d, order)
+    return Jet.from_polynomial(d, m.known_order)
 
 
 @dataclass(frozen=True)

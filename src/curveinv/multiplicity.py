@@ -323,23 +323,23 @@ def multiplicity_det(
 
     With the default order (the determinant degree bound) the answer is
     exact: a determinant vanishing through the bound is the zero
-    polynomial and the report is "infinite".
+    polynomial and the report is "infinite".  The witness is the
+    determinant known through the bound (or through ``order`` when given).
     """
     capped = order is not None
     bound = curve.order_bound() if order is None else order
-    # escalation only pays off for the truncated cofactor strategy; the
-    # Bareiss lift used from dimension 6 up is order-insensitive
-    work = bound if (capped or curve.dim > 5) else min(max(curve.degree + 2, 4), bound)
-    while True:
-        d = jet_det(curve.jet_matrix(work))
-        o = vanishing_order(d)
-        if o.is_finite:
-            return MultiplicityReport.finite(o.value, "ord-det", witness=d)
-        if work >= bound:
-            if capped:
-                return MultiplicityReport.undetermined(bound, "ord-det", witness=d)
-            return MultiplicityReport.infinite("ord-det", witness=d)
-        work = min(work * 2, bound)
+    d = jet_det(curve.jet_matrix(bound))
+    return _order_report(d, "ord-det", capped)
+
+
+def _order_report(d: Jet, method: str, capped: bool) -> MultiplicityReport:
+    """Report the order of a determinant jet known through the bound."""
+    o = vanishing_order(d)
+    if o.is_finite:
+        return MultiplicityReport.finite(o.value, method, witness=d)
+    if capped:
+        return MultiplicityReport.undetermined(d.known_order, method, witness=d)
+    return MultiplicityReport.infinite(method, witness=d)
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +364,30 @@ def _schur_frame(curve: MatrixCurveJet, pair: ProjectionPair | None):
     return pair, coeffs
 
 
-def _block(mat, rows, cols):
-    return tuple(tuple(mat[i][j] for j in cols) for i in rows)
+def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
+    """``det L11`` and ``S~ = det(L11)*L22 - L21*adj(L11)*L12`` over Q[x].
 
-
-def _jet_matrix_inverse_unit(m: JetMatrix) -> JetMatrix:
-    """Inverse of a jet matrix with invertible constant term, same order."""
-    a0_inv = _linalg.inverse(m.coeffs[0])
-    order = m.known_order
-    out = [a0_inv]
-    for k in range(1, order + 1):
-        acc = _linalg.zeros(m.dim, m.dim)
-        for j in range(1, k + 1):
-            acc = _linalg.madd(acc, _linalg.matmul(m.coeffs[j], out[k - j]))
-        out.append(_linalg.mscale(_linalg.matmul(a0_inv, acc), -1))
-    return JetMatrix(m.dim, tuple(out))
+    The blocks are those of the curve in the pair's frame, where ``L11`` is
+    invertible at the base point; the Schur block is ``S = S~ / det L11``.
+    """
+    pair, coeffs = _schur_frame(curve, pair)
+    n = curve.dim
+    m = n - pair.kernel_dim
+    lift = [[_poly.poly(c[i][j] for c in coeffs) for j in range(n)] for i in range(n)]
+    l22 = [row[m:] for row in lift[m:]]
+    if m in (0, n):
+        # an empty L11 (or an empty kernel block) leaves S~ = S = L22
+        return _poly.ONE, l22
+    adj11, det11 = _poly.mat_adjugate_det([row[:m] for row in lift[:m]])
+    corr = _poly.mat_mul(
+        _poly.mat_mul([row[:m] for row in lift[m:]], adj11),
+        [row[m:] for row in lift[:m]],
+    )
+    s = [
+        [_poly.sub(_poly.mul(det11, a), b) for a, b in zip(row22, row_corr)]
+        for row22, row_corr in zip(l22, corr)
+    ]
+    return det11, s
 
 
 def schur_operator(
@@ -394,60 +403,13 @@ def schur_operator(
     """
     if order is None:
         order = curve.order_bound()
-    pair, coeffs = _schur_frame(curve, pair)
-    n = curve.dim
-    k = pair.kernel_dim
-    m = n - k
-    top = list(range(m))
-    bottom = list(range(m, n))
-
-    def block_jets(rows, cols):
-        mats = [_block(c, rows, cols) for c in coeffs]
-        zero = tuple(tuple(Fraction(0) for _ in cols) for _ in rows)
-        while len(mats) < order + 1:
-            mats.append(zero)
-        return mats[: order + 1]
-
-    if k == 0:
+    det11, s = _schur_numerator(curve, pair)
+    if not s:
         return JetMatrix(0, tuple(() for _ in range(order + 1)))
-    b22 = block_jets(bottom, bottom)
-    if m == 0:
-        return JetMatrix(k, tuple(b22))
-    b11 = JetMatrix(m, tuple(block_jets(top, top)))
-    inv11 = _jet_matrix_inverse_unit(b11)
-    b12 = block_jets(top, bottom)
-    b21 = block_jets(bottom, top)
-    # L22 - L21 * L11^{-1} * L12, convolved to the requested order
-    mid = _rect_convolve(b21, inv11.coeffs, order, k, m, m)
-    corr = _rect_convolve(mid, b12, order, k, m, k)
-    out = []
-    for t in range(order + 1):
-        out.append(_linalg.msub(b22[t], corr[t]))
-    return JetMatrix(k, tuple(out))
-
-
-def _rect_convolve(a_mats, b_mats, order, n_rows, inner, n_cols):
-    """Truncated product of two rectangular matrix series."""
-    zero = tuple(tuple(Fraction(0) for _ in range(n_cols)) for _ in range(n_rows))
-    out = []
-    for t in range(order + 1):
-        acc = zero
-        for i in range(t + 1):
-            if i >= len(a_mats) or (t - i) >= len(b_mats):
-                continue
-            prod = tuple(
-                tuple(
-                    sum(
-                        (a_mats[i][r][s] * b_mats[t - i][s][c] for s in range(inner)),
-                        Fraction(0),
-                    )
-                    for c in range(n_cols)
-                )
-                for r in range(n_rows)
-            )
-            acc = _linalg.madd(acc, prod)
-        out.append(acc)
-    return out
+    inv11 = jet_inverse(Jet.from_polynomial(det11, order))
+    return JetMatrix.from_entries(
+        [[Jet.from_polynomial(p, order) * inv11 for p in row] for row in s]
+    )
 
 
 def local_determinant(
@@ -460,12 +422,7 @@ def local_determinant(
     Nonvanishing at a parameter value is equivalent to invertibility of
     the curve there, which is what makes this a local determinant.
     """
-    if order is None:
-        order = curve.order_bound()
-    s = schur_operator(curve, pair, order)
-    if s.dim == 0:
-        return Jet.one(order)
-    return jet_det(s)
+    return jet_det(schur_operator(curve, pair, order))
 
 
 def multiplicity_schur(
@@ -473,22 +430,20 @@ def multiplicity_schur(
     pair: ProjectionPair | None = None,
     order: int | None = None,
 ) -> MultiplicityReport:
-    """Order of the local determinant at the base point."""
+    """Order of the local (Schur-block) determinant at the base point.
+
+    Works with ``S~ = det(L11)*S``: ``det L11`` is a unit at the base point,
+    so ``ord det S~ = ord det S``, and ``det S~`` is computed exactly over
+    Q[x].  ``det S`` is ``det L / det L11``, so its order is at most the
+    determinant degree bound unless it is the zero polynomial ("infinite").
+    The witness is ``det S~`` known through the bound (or through ``order``
+    when given).
+    """
     capped = order is not None
     bound = curve.order_bound() if order is None else order
-    # escalate the working order; the answer is bounded by the determinant
-    # degree, so vanishing through the bound settles the infinite case
-    work = min(max(curve.degree + 2, 4), bound)
-    while True:
-        d = local_determinant(curve, pair, work)
-        o = vanishing_order(d)
-        if o.is_finite:
-            return MultiplicityReport.finite(o.value, "schur", witness=d)
-        if work >= bound:
-            if capped:
-                return MultiplicityReport.undetermined(bound, "schur", witness=d)
-            return MultiplicityReport.infinite("schur", witness=d)
-        work = min(work * 2, bound)
+    _, s = _schur_numerator(curve, pair)
+    d = Jet.from_polynomial(_poly.mat_det_bareiss(s), bound)
+    return _order_report(d, "schur", capped)
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +523,6 @@ def multiplicity_laurent(
                 "compressed determinant vanished through every admissible window"
             )
         work = min(work * 2, cap)
-
-
-def _adjugate_until_nonzero(lift, curve, full):
-    """Truncated adjugate/determinant, escalating until the determinant
-    shows a nonzero coefficient; raises when it is the zero polynomial."""
-    work = min(max(2 * curve.degree + 4, 6), full)
-    while True:
-        adj, det_poly = _poly.mat_adjugate_det(lift, mod_order=work)
-        det_ord = _poly.low_order(det_poly)
-        if det_ord is not None:
-            return adj, det_poly, det_ord
-        if work >= full:
-            raise SingularToKnownOrder(
-                "determinant is the zero polynomial; the base point is not isolated"
-            )
-        work = min(work * 2, full)
 
 
 def _compress_poly(a_rows, mid, b_cols):
@@ -735,14 +674,18 @@ def algebraic_order(curve: MatrixCurveJet) -> AlgebraicOrderReport:
     Equals the determinant order minus the minimal order among the
     adjugate entries.  A regular base point reports kappa None.
     """
-    lift = curve.polynomial_lift()
-    adj, det_poly, det_ord = _adjugate_until_nonzero(
-        lift, curve, curve.order_bound() + 1
+    adj, det_poly = _poly.mat_adjugate_det(
+        curve.polynomial_lift(), mod_order=curve.order_bound() + 1
     )
+    det_ord = _poly.low_order(det_poly)
+    if det_ord is None:
+        raise SingularToKnownOrder(
+            "determinant is the zero polynomial; the base point is not isolated"
+        )
     if det_ord == 0:
         return AlgebraicOrderReport(kappa=None, determinant_order=0)
-    # the minimal adjugate order is at most det_ord, so entries vanishing
-    # through the (larger) working order cannot attain it
+    # the minimal adjugate order is at most det_ord, which is below the
+    # working order, so entries vanishing through it cannot attain it
     adj_min = min(
         _poly.low_order(adj[i][j])
         for i in range(curve.dim)

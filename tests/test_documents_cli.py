@@ -118,8 +118,12 @@ def test_chi_missing_file_exits_2(capsys):
 
 def test_chi_malformed_curve_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 2, "coefficients": [[["0.5", "0"], ["0", "0"]]]}')
-    assert main(["chi", "--curve", str(bad)]) == 2
+    for doc in (
+        '{"dim": 2, "coefficients": [[["0.5", "0"], ["0", "0"]]]}',
+        '{"dim": true, "coefficients": [[["0"]], [["1"]]]}',
+    ):
+        bad.write_text(doc)
+        assert main(["chi", "--curve", str(bad)]) == 2
 
 
 def test_unknown_flag_exits_2(capsys):

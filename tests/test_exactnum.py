@@ -133,29 +133,30 @@ def test_det_empty_matrix_is_one():
     assert jet_det(m).coeffs == (F(1), F(0), F(0))
 
 
-def test_det_bareiss_route_matches_cofactor_route(rng):
-    # dim 6 exercises the Bareiss lift; check against the dim <= 5 strategy
-    # by embedding a 5x5 block in the corner of a 6x6 identity
+def test_det_matches_sympy_berkowitz_oracle(rng):
+    # sympy's division-free Berkowitz characteristic polynomial over QQ[t];
+    # Matrix.det(method="berkowitz") on sympy expressions gives the same
+    # values, but expanding them makes dims 5 and 6 take seconds each
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
     from conftest import random_matrix_polynomial
 
-    mats5 = random_matrix_polynomial(rng, 5, 3)
-    small = JetMatrix(5, tuple(mats5))
-    big_mats = []
-    for k, m5 in enumerate(mats5):
-        rows = []
-        for i in range(6):
-            row = []
-            for j in range(6):
-                if i < 5 and j < 5:
-                    row.append(m5[i][j])
-                elif i == j == 5:
-                    row.append(F(1) if k == 0 else F(0))
-                else:
-                    row.append(F(0))
-            rows.append(tuple(row))
-        big_mats.append(tuple(rows))
-    big = JetMatrix(6, tuple(big_mats))
-    assert jet_det(big).coeffs == jet_det(small).coeffs
+    ring = sympy.QQ[sympy.Symbol("t")]
+
+    def entry(mats, i, j):
+        coeffs = [sympy.QQ(c[i][j].numerator, c[i][j].denominator) for c in mats]
+        return ring.ring.from_list(coeffs[::-1])  # highest power first
+
+    for dim in range(7):
+        for order in (0, 2, 4):
+            mats = random_matrix_polynomial(rng, dim, order)
+            grid = [[entry(mats, i, j) for j in range(dim)] for i in range(dim)]
+            charpoly = DomainMatrix(grid, (dim, dim), ring).charpoly()
+            det = (charpoly[-1] * (-1) ** dim).to_dense()[::-1]  # lowest first
+            det += [0] * (order + 1 - len(det))
+            want = tuple(F(int(c.numerator), int(c.denominator)) for c in det[: order + 1])
+            assert jet_det(JetMatrix(dim, tuple(mats))).coeffs == want
 
 
 # -- laurent arithmetic ---------------------------------------------------------

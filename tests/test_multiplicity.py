@@ -1,6 +1,5 @@
 """Unit and property tests for the multiplicity routes."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -158,15 +157,22 @@ def test_det_route_invertible_is_zero(rng):
     assert multiplicity_det(c).value == 0
 
 
-def test_det_route_zero_curve_is_infinite():
-    r = multiplicity_det(fixtures.zero_curve())
+@pytest.mark.parametrize(
+    "route", [multiplicity_det, multiplicity_schur], ids=["ord-det", "schur"]
+)
+def test_det_route_zero_curve_is_infinite(route):
+    r = route(fixtures.zero_curve())
     assert r.kind == "infinite"
 
 
-def test_det_route_capped_order_reports_undetermined():
+@pytest.mark.parametrize(
+    "route", [multiplicity_det, multiplicity_schur], ids=["ord-det", "schur"]
+)
+def test_det_route_capped_order_reports_undetermined(route):
     c = diag_curve([0, 1], [0, 0, 1])  # determinant order 3
-    r = multiplicity_det(c, order=2)
+    r = route(c, order=2)
     assert r.kind == "undetermined" and r.order_bound == 2
+    assert route(c, order=3).value == 3
 
 
 # -- schur route ------------------------------------------------------------------
@@ -470,12 +476,9 @@ def test_classical_against_sympy_charpoly_oracle(rng):
 
 
 def test_kappa_bounded_by_multiplicity_logged(rng):
-    violations = []
+    # kappa = ord det - min ord adj, and the adjugate orders are >= 0
     for _ in range(25):
         c, expected = curve_with_known_multiplicity(rng, max_degree=5)
         rep = algebraic_order(c)
-        if rep.is_algebraic and rep.kappa > expected:
-            violations.append((rep.kappa, expected))
-    if violations:
-        # observed relation, not asserted
-        warnings.warn(f"kappa exceeded multiplicity on {violations}")
+        assert rep.determinant_order == expected
+        assert rep.is_algebraic and 1 <= rep.kappa <= expected
