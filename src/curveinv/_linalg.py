@@ -55,6 +55,17 @@ def mscale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
+    """The matrix polynomial sum_k coeffs[k] * x**k, by Horner's rule."""
+    x = Fraction(x)
+    acc = coeffs[-1]
+    for mat in reversed(coeffs[:-1]):
+        acc = tuple(
+            tuple(a * x + c for a, c in zip(ra, rm)) for ra, rm in zip(acc, mat)
+        )
+    return acc
+
+
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 

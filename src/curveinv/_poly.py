@@ -145,17 +145,12 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return monic(a)
 
 
-def shift(p: Poly, c) -> Poly:
-    """Compose with a translation: returns the polynomial x -> p(x + c)."""
-    c = Fraction(c)
+def compose_affine(p: Poly, c, s) -> Poly:
+    """Compose with an affine map: returns the polynomial x -> p(c + s*x)."""
+    lin = poly((c, s))
     acc: Poly = ZERO
     for coeff in reversed(p):
-        # acc <- acc*(x+c) + coeff
-        shifted = [Fraction(0)] + list(acc)
-        for i, v in enumerate(acc):
-            shifted[i] += v * c
-        shifted[0] += coeff
-        acc = poly(shifted)
+        acc = add(mul(acc, lin), (coeff,))
     return acc
 
 
@@ -316,8 +311,22 @@ def isolate_roots(p: Poly, a, b, refine_steps: int = 16):
 PolyMatrix = list  # list[list[Poly]]
 
 
-def mat_identity(n: int) -> PolyMatrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def mat_lift(coeffs) -> PolyMatrix:
+    """Polynomial matrix whose entry (i, j) has coefficients coeffs[k][i][j]."""
+    return [
+        [poly(mat[i][j] for mat in coeffs) for j in range(len(row))]
+        for i, row in enumerate(coeffs[0])
+    ]
+
+
+def mat_coefficients(m: PolyMatrix) -> tuple:
+    """Coefficient matrices of a polynomial matrix, lowest power first,
+    through its degree (the zero matrix keeps one coefficient)."""
+    top = max((len(p) for row in m for p in row), default=0)
+    return tuple(
+        tuple(tuple(p[k] if k < len(p) else Fraction(0) for p in row) for row in m)
+        for k in range(max(top, 1))
+    )
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -17,6 +17,7 @@ a canonical machine-readable report, byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import documents
@@ -318,8 +319,10 @@ def _cmd_parity(args):
 
 
 def _torus(args, n):
-    if getattr(args, "period", DEFAULT_PERIOD) <= 0:
-        raise DocumentError("--period must be positive")
+    for flag in ("period", "tol"):
+        value = getattr(args, flag, 1.0)
+        if not (math.isfinite(value) and value > 0):
+            raise DocumentError(f"--{flag} must be finite and positive")
     if getattr(args, "cutoff", DEFAULT_CUTOFF) < 1:
         raise DocumentError("--cutoff must be at least 1")
     return FlatTorus(n, period=args.period)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import _poly
 from .errors import DocumentError
 from .multiplicity import MatrixCurveJet
 from .parity import AnalyticSegment, GlConnector, LoopPath, PolynomialPath
@@ -128,34 +129,18 @@ def path_from_document(obj, a=None, b=None) -> PolynomialPath:
         b = parse_rational(interval[1]) if b is None else b
     base = parse_rational(obj.get("base_point", "0"))
     if base != 0:
-        coeffs = _recenter_to_global(coeffs, base, dim)
+        coeffs = _recenter_to_global(coeffs, base)
     try:
         return PolynomialPath(dim, Fraction(a), Fraction(b), coeffs)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 
-def _recenter_to_global(coeffs, base, dim):
+def _recenter_to_global(coeffs, base):
     """Expand sum_j C_j (lam - base)^j into powers of lam."""
-    from . import _poly
-
-    entries = [
-        [
-            _poly.shift(_poly.poly(mat[i][j] for mat in coeffs), -base)
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    deg = max((len(p) - 1 for row in entries for p in row if p), default=0)
-    return tuple(
-        tuple(
-            tuple(
-                entries[i][j][k] if k < len(entries[i][j]) else Fraction(0)
-                for j in range(dim)
-            )
-            for i in range(dim)
-        )
-        for k in range(deg + 1)
+    lift = _poly.mat_lift(coeffs)
+    return _poly.mat_coefficients(
+        [[_poly.compose_affine(p, -base, 1) for p in row] for row in lift]
     )
 
 

@@ -255,13 +255,7 @@ class JetMatrix:
 
     def polynomial_lift(self):
         """Entries as exact polynomials built from the stored coefficients."""
-        return [
-            [
-                _poly.poly(mat[i][j] for mat in self.coeffs)
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
+        return _poly.mat_lift(self.coeffs)
 
 
 def jet_det(m: JetMatrix) -> Jet:

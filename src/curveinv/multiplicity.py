@@ -79,16 +79,7 @@ class MatrixCurveJet:
         return self.coefficients[0]
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        mu = Fraction(lam) - self.base_point
-        n = self.dim
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for mat in reversed(self.coefficients):
-            for i in range(n):
-                row = acc[i]
-                src = mat[i]
-                for j in range(n):
-                    row[j] = row[j] * mu + src[j]
-        return _linalg.freeze(acc)
+        return _linalg.polyval(self.coefficients, Fraction(lam) - self.base_point)
 
     def jet_matrix(self, order: int | None = None) -> JetMatrix:
         """The curve as a jet matrix in the local variable, padded with
@@ -102,7 +93,7 @@ class MatrixCurveJet:
         return JetMatrix(self.dim, tuple(mats))
 
     def polynomial_lift(self):
-        return self.jet_matrix().polynomial_lift()
+        return _poly.mat_lift(self.coefficients)
 
     def order_bound(self) -> int:
         """Degree bound for the determinant: if it does not vanish through
@@ -157,6 +148,16 @@ class ProjectionPair:
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel_basis)
+
+    def domain_frame(self) -> _linalg.Matrix:
+        """Columns: the kernel complement, then the kernel basis."""
+        cols = [*self.kernel_complement, *self.kernel_basis]
+        return _linalg.hstack(cols, len(self.p))
+
+    def codomain_frame(self) -> _linalg.Matrix:
+        """Columns: the range basis, then the range complement."""
+        cols = [*self.range_basis, *self.range_complement]
+        return _linalg.hstack(cols, len(self.p))
 
 
 def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPair:
@@ -224,11 +225,7 @@ def validate_projection_pair(t: _linalg.Matrix, pair: ProjectionPair) -> None:
     r = _linalg.rank(t)
     if _linalg.rank(p) != n - r or _linalg.rank(q) != r:
         raise InvalidProjectionPair("projection ranks do not match T")
-    dom = _linalg.hstack(
-        list(pair.kernel_complement) + list(pair.kernel_basis), n
-    )
-    cod = _linalg.hstack(list(pair.range_basis) + list(pair.range_complement), n)
-    if _linalg.rank(dom) != n or _linalg.rank(cod) != n:
+    if any(_linalg.rank(f) != n for f in (pair.domain_frame(), pair.codomain_frame())):
         raise InvalidProjectionPair("stored bases do not span the space")
 
 
@@ -346,22 +343,13 @@ def _order_report(d: Jet, method: str, capped: bool) -> MultiplicityReport:
 # Route 2: Schur block and local determinant
 
 
-def _schur_frame(curve: MatrixCurveJet, pair: ProjectionPair | None):
+def _pair_for(curve: MatrixCurveJet, pair: ProjectionPair | None) -> ProjectionPair:
+    """The default projection pair of the constant term, or ``pair`` validated."""
     t = curve.constant_term()
     if pair is None:
-        pair = projection_pair(t)
-    else:
-        validate_projection_pair(t, pair)
-    n = curve.dim
-    dom = _linalg.hstack(
-        list(pair.kernel_complement) + list(pair.kernel_basis), n
-    )
-    cod = _linalg.hstack(list(pair.range_basis) + list(pair.range_complement), n)
-    cod_inv = _linalg.inverse(cod)
-    coeffs = tuple(
-        _linalg.matmul(cod_inv, _linalg.matmul(c, dom)) for c in curve.coefficients
-    )
-    return pair, coeffs
+        return projection_pair(t)
+    validate_projection_pair(t, pair)
+    return pair
 
 
 def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
@@ -370,10 +358,14 @@ def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
     The blocks are those of the curve in the pair's frame, where ``L11`` is
     invertible at the base point; the Schur block is ``S = S~ / det L11``.
     """
-    pair, coeffs = _schur_frame(curve, pair)
+    pair = _pair_for(curve, pair)
+    dom = pair.domain_frame()
+    cod_inv = _linalg.inverse(pair.codomain_frame())
+    lift = _poly.mat_lift(
+        [_linalg.matmul(cod_inv, _linalg.matmul(c, dom)) for c in curve.coefficients]
+    )
     n = curve.dim
     m = n - pair.kernel_dim
-    lift = [[_poly.poly(c[i][j] for c in coeffs) for j in range(n)] for i in range(n)]
     l22 = [row[m:] for row in lift[m:]]
     if m in (0, n):
         # an empty L11 (or an empty kernel block) leaves S~ = S = L22
@@ -459,11 +451,7 @@ def multiplicity_laurent(
     kernel coordinates (rows) and the range-complement basis (columns),
     and returns the order of the determinant of that block's inverse.
     """
-    t = curve.constant_term()
-    if pair is None:
-        pair = projection_pair(t)
-    else:
-        validate_projection_pair(t, pair)
+    pair = _pair_for(curve, pair)
     k_dim = pair.kernel_dim
     if k_dim == 0:
         return MultiplicityReport.finite(0, "laurent", witness=Jet.one(1))
@@ -472,14 +460,10 @@ def multiplicity_laurent(
     n = curve.dim
     full = curve.order_bound() + 1
 
-    # compression frame: kernel coordinates of P on the left, the range
-    # complement on the right
-    dom = _linalg.hstack(
-        list(pair.kernel_complement) + list(pair.kernel_basis), n
-    )
-    dom_inv = _linalg.inverse(dom)
-    a_rows = dom_inv[n - k_dim :]
-    b_cols = _linalg.hstack(list(pair.range_complement), n)
+    # compression frame, as constant polynomials: kernel coordinates of P on
+    # the left, the range complement on the right
+    a_rows = _poly.mat_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
+    b_cols = _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
 
     work = min(max(2 * curve.degree + 6, 8), full)
     det_ord = None
@@ -502,7 +486,7 @@ def multiplicity_laurent(
             cap = (k_dim + 1) * det_ord + full + 4
         slack = work - 1 - det_ord
         if slack >= 1:
-            compressed = _compress_poly(a_rows, adj_w, b_cols)
+            compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj_w), b_cols)
             u_inv = jet_inverse(Jet.from_polynomial(det_w[det_ord:], slack))
             grid = []
             for i in range(k_dim):
@@ -523,36 +507,6 @@ def multiplicity_laurent(
                 "compressed determinant vanished through every admissible window"
             )
         work = min(work * 2, cap)
-
-
-def _compress_poly(a_rows, mid, b_cols):
-    """a (k x n, rational) * mid (n x n, polynomial) * b (n x k, rational)."""
-    n = len(mid)
-    k = len(a_rows)
-    kc = len(b_cols[0]) if b_cols else 0
-    am = [
-        [
-            _poly_lin_comb(a_rows[i], [mid[r][j] for r in range(n)])
-            for j in range(n)
-        ]
-        for i in range(k)
-    ]
-    out = [
-        [
-            _poly_lin_comb([b_cols[r][j] for r in range(n)], [am[i][r] for r in range(n)])
-            for j in range(kc)
-        ]
-        for i in range(k)
-    ]
-    return out
-
-
-def _poly_lin_comb(scalars, polys):
-    acc = _poly.ZERO
-    for c, p in zip(scalars, polys):
-        if c != 0 and not _poly.is_zero(p):
-            acc = _poly.add(acc, _poly.scale(p, c))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +540,8 @@ def is_kappa_transversal(curve: MatrixCurveJet, kappa: int) -> TransversalityCer
     image_dims = []
     for j in range(1, kappa + 1):
         basis = kernels[j - 1]
-        mapped = [
-            _matvec(curve.coefficients[j], v) for v in basis
-        ]
-        mapped_mat = _linalg.hstack(mapped, n) if mapped else _linalg.zeros(n, 0)
-        pivots = _linalg.column_space_pivots(mapped_mat) if mapped else []
+        mapped_mat = _linalg.matmul(curve.coefficients[j], _linalg.hstack(basis, n))
+        pivots = _linalg.column_space_pivots(mapped_mat) if basis else []
         cols = _linalg.columns(mapped_mat)
         chosen = [cols[p] for p in pivots]
         image_dims.append(len(chosen))
@@ -609,13 +560,6 @@ def is_kappa_transversal(curve: MatrixCurveJet, kappa: int) -> TransversalityCer
         assembled_matrix=assembled,
         assembled_rank=r,
         last_image_nonzero=last_nonzero,
-    )
-
-
-def _matvec(m, v):
-    return tuple(
-        sum((m[i][j] * v[j] for j in range(len(v))), Fraction(0))
-        for i in range(len(m))
     )
 
 

@@ -81,26 +81,10 @@ class PolynomialPath:
         object.__setattr__(self, "coefficients", mats)
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        lam = Fraction(lam)
-        n = self.dim
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for mat in reversed(self.coefficients):
-            for i in range(n):
-                row = acc[i]
-                src = mat[i]
-                for j in range(n):
-                    row[j] = row[j] * lam + src[j]
-        return _linalg.freeze(acc)
+        return _linalg.polyval(self.coefficients, lam)
 
     def determinant_polynomial(self):
-        lift = [
-            [
-                _poly.poly(mat[i][j] for mat in self.coefficients)
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-        return _poly.mat_det_bareiss(lift)
+        return _poly.mat_det_bareiss(_poly.mat_lift(self.coefficients))
 
     def is_admissible(self) -> bool:
         return (
@@ -108,44 +92,25 @@ class PolynomialPath:
             and _linalg.det(self.evaluate(self.b)) != 0
         )
 
-    def ensure_admissible(self) -> None:
-        if _linalg.det(self.evaluate(self.a)) == 0:
+    def ensure_admissible(self) -> tuple[Fraction, Fraction]:
+        """Raise NotAdmissible unless the path is invertible at both
+        endpoints; returns the two endpoint determinants."""
+        da = _linalg.det(self.evaluate(self.a))
+        if da == 0:
             raise NotAdmissible(f"path is singular at the left endpoint {self.a}")
-        if _linalg.det(self.evaluate(self.b)) == 0:
+        db = _linalg.det(self.evaluate(self.b))
+        if db == 0:
             raise NotAdmissible(f"path is singular at the right endpoint {self.b}")
+        return da, db
 
     def reversed(self) -> "PolynomialPath":
         """The same track traversed backwards, reparameterized on [a, b]."""
-        n = self.dim
         s = self.a + self.b
-        entries = [
-            [
-                _flip_poly(_poly.poly(mat[i][j] for mat in self.coefficients), s)
-                for j in range(n)
-            ]
-            for i in range(n)
+        flipped = [
+            [_poly.compose_affine(p, s, -1) for p in row]
+            for row in _poly.mat_lift(self.coefficients)
         ]
-        deg = max((len(p) - 1 for row in entries for p in row if p), default=0)
-        mats = [
-            tuple(
-                tuple(
-                    entries[i][j][k] if k < len(entries[i][j]) else Fraction(0)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            for k in range(deg + 1)
-        ]
-        return PolynomialPath(n, self.a, self.b, tuple(mats))
-
-
-def _flip_poly(p, s):
-    """Substitute x -> s - x."""
-    acc = _poly.ZERO
-    minus_x_plus_s = (Fraction(s), Fraction(-1))
-    for coeff in reversed(p):
-        acc = _poly.add(_poly.mul(acc, minus_x_plus_s), (Fraction(coeff),))
-    return acc
+        return PolynomialPath(self.dim, self.a, self.b, _poly.mat_coefficients(flipped))
 
 
 @dataclass(frozen=True)
@@ -247,9 +212,7 @@ def interval_parity(path: PolynomialPath) -> ParityValue:
     This is the parametrix formula specialized to finite dimension; it
     depends on nothing but the two endpoint matrices.
     """
-    path.ensure_admissible()
-    da = _linalg.det(path.evaluate(path.a))
-    db = _linalg.det(path.evaluate(path.b))
+    da, db = path.ensure_admissible()
     sign = (1 if da > 0 else -1) * (1 if db > 0 else -1)
     return ParityValue(sign=sign)
 

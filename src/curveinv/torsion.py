@@ -54,8 +54,8 @@ class FlatTorus:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("torus dimension must be at least 1")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError("period must be finite and positive")
         if self.time <= 0:
             raise NonpositiveTime("heat-kernel time must be positive")
 
@@ -88,6 +88,10 @@ def _gaussian_tail(decay: float, cutoff: int) -> float:
     """Rigorous bound on the omitted |m| > cutoff terms (geometric bound)."""
     head = 2.0 * math.exp(-decay * (cutoff + 1) ** 2)
     ratio = math.exp(-decay * (2 * cutoff + 3))
+    if ratio >= 1.0:
+        raise CutoffTooSmall(
+            "the lattice terms decay too slowly to bound the tail at this cutoff"
+        )
     return head / (1.0 - ratio)
 
 
@@ -290,6 +294,10 @@ def torsion_invariant(
     plain = _signed_gaussian_sum(c, False, cutoff)
     alt = _signed_gaussian_sum(c, True, cutoff)
     tail = _gaussian_tail(c, cutoff)
+    if tail >= plain:
+        raise CutoffTooSmall(
+            "the tail bound exceeds the truncated sum; no error bound can be certified"
+        )
     ratio = alt / plain
     # |true ratio - ratio| <= tail*(plain + |alt|) / (plain*(plain - tail))
     ratio_err = tail * (plain + abs(alt)) / (plain * (plain - tail))
@@ -313,21 +321,10 @@ def torsion_invariant(
 def _unit_box_contributions(torus, zeta, cutoff):
     if torus.n > 8:
         return ()
-    c = torus.decay
-    one_dim = _signed_gaussian_sum(c, False, cutoff)
-    out = []
-    for w in sorted(
-        product((-1, 0, 1), repeat=torus.n),
-        key=lambda w: (sum(m * m for m in w), w),
-    ):
-        out.append(
-            ClassContribution(
-                deck_class=w,
-                sign=zeta.sign_on(w),
-                weight=math.exp(-c * sum(m * m for m in w)) / one_dim**torus.n,
-            )
-        )
-    return tuple(out)
+    return tuple(
+        ClassContribution(deck_class=w, sign=zeta.sign_on(w), weight=weight)
+        for w, weight in weight_table(torus, 1, cutoff).entries
+    )
 
 
 def torsion_value_set(torus: FlatTorus, cutoff: int = DEFAULT_CUTOFF) -> tuple:

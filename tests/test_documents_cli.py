@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import curve_with_known_multiplicity
 from curveinv import documents, errors, fixtures
 from curveinv.cli import main
 
@@ -76,6 +78,19 @@ def test_path_document_with_base_point_recenters():
     path = documents.path_from_document(doc)
     assert path.evaluate(1) == ((Fraction(0),),)
     assert path.evaluate(2) == ((Fraction(1),),)
+
+    # random curves about nonzero base points: the re-expanded path takes
+    # the same values as the curve
+    rng = random.Random(31)
+    for _ in range(8):
+        curve = curve_with_known_multiplicity(
+            rng, max_degree=4, base_points=(1, Fraction(-1, 2), 3)
+        )[0]
+        doc = documents.curve_to_document(curve)
+        doc["interval"] = ["-2", "2"]
+        path = documents.path_from_document(json.loads(documents.dumps(doc)))
+        for lam in (-2, Fraction(-1, 3), 0, Fraction(5, 7), 2):
+            assert path.evaluate(lam) == curve.evaluate(lam)
 
 
 # -- chi command -------------------------------------------------------------------
@@ -274,6 +289,40 @@ def test_torsion_missing_signs_exits_2():
 def test_torsion_malformed_signs_exits_2():
     assert main(["torsion", "--n", "2", "--signs=-1"]) == 2
     assert main(["torsion", "--n", "1", "--signs=7"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torsion", "--n", "1", "--signs=-1", "--period", "nan"],
+        ["weights", "--n", "1", "--period", "nan"],
+        ["orientable", "--n", "1", "--signs=-1", "--period", "inf"],
+        ["orientable", "--n", "1", "--signs=1", "--tol", "nan"],
+        ["orientable", "--n", "1", "--signs=1", "--tol", "-1"],
+    ],
+)
+def test_nonfinite_or_nonpositive_torus_flags_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torsion", "--n", "1", "--signs=-1", "--period", "1e-10"],
+        ["weights", "--n", "1", "--period", "1e-10"],
+        ["orientable", "--n", "1", "--signs=-1", "--period", "1e-10"],
+        ["torsion", "--n", "1", "--signs=-1", "--period", "0.05"],
+    ],
+)
+def test_uncertifiable_tail_bound_exits_3(argv, capsys):
+    # the tail bound underflows its geometric ratio (period 1e-10) or
+    # exceeds the truncated sum (period 0.05): no error bound to report
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
 def test_theta_command(capsys):

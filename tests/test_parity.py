@@ -263,6 +263,12 @@ def test_concatenation_at_invertible_point(rng):
 def test_reversed_path_has_same_parity(rng):
     for _ in range(10):
         path = random_admissible_path(rng, max_dim=3, max_degree=4)
+        # the reversal is the substitution x -> a + b - x, also off [-1, 1]
+        shifted = PolynomialPath(path.dim, F(1, 3), F(2), path.coefficients)
+        for p in (path, shifted):
+            rev = p.reversed()
+            for x in (p.a, p.b, F(-2, 3), F(0), F(1, 5)):
+                assert rev.evaluate(p.a + p.b - x) == p.evaluate(x)
         rev = path.reversed()
         assert interval_parity(rev).sign == interval_parity(path).sign
         assert multiplicity_sum_parity(rev).sign == multiplicity_sum_parity(path).sign

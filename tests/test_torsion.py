@@ -51,6 +51,18 @@ def test_heat_kernel_rejects_nonpositive_time():
         heat_kernel_rn(1, 0.0, (0.0,), (0.0,))
 
 
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+def test_torus_rejects_nonpositive_or_nonfinite_period(period):
+    with pytest.raises(ValueError):
+        FlatTorus(1, period=period)
+
+
+@pytest.mark.parametrize("period", [1e-10, 0.05])
+def test_torsion_raises_when_tail_bound_cannot_be_certified(period):
+    with pytest.raises(CutoffTooSmall):
+        torsion_invariant(FlatTorus(1, period=period), Z2Homomorphism((-1,)))
+
+
 # -- theta sums ---------------------------------------------------------------
 
 
