@@ -66,10 +66,6 @@ def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
     return acc
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:
     """Matrix whose columns are the given vectors (empty list allowed)."""
     return tuple(tuple(col[i] for col in cols) for i in range(n_rows))

@@ -1,9 +1,12 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the integers and rationals.
 
 Internal plumbing shared by the jet ring, the multiplicity routes and the
-root isolation code.  A polynomial is a tuple of ``Fraction`` coefficients
-indexed by power, with trailing zeros stripped; the zero polynomial is the
-empty tuple.  All operations are exact, no floating point anywhere.
+root isolation code.  A polynomial is a tuple of coefficients indexed by
+power, each an ``int`` or a ``Fraction``, with trailing zeros stripped; the
+zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
+``neg``, ``mul``, ``mat_mul``) never coerce, so integer inputs give integer
+results; ``poly`` is the coercing constructor for inputs.  All operations
+are exact, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,21 +14,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-Poly = tuple  # tuple[Fraction, ...]
+Poly = tuple  # tuple[int | Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
 X: Poly = (Fraction(0), Fraction(1))
 
+# halvings of each isolating interval, so the reported bracket is readable
+REFINE_STEPS = 16
+
 
 def poly(coeffs: Iterable) -> Poly:
-    """Build a normalized polynomial from ascending-power coefficients."""
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    """Build a normalized rational polynomial from ascending-power coefficients."""
+    return _trim([Fraction(c) for c in coeffs])
+
+
+def _trim(p) -> Poly:
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    return tuple(p[:k])
 
 
 def degree(p: Poly) -> int:
@@ -51,7 +61,7 @@ def add(a: Poly, b: Poly) -> Poly:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return poly(out)
+    return _trim(out)
 
 
 def neg(a: Poly) -> Poly:
@@ -69,28 +79,23 @@ def scale(a: Poly, c) -> Poly:
     return tuple(x * c for x in a)
 
 
-def mul(a: Poly, b: Poly) -> Poly:
+def mul(a: Poly, b: Poly, cap: int | None = None) -> Poly:
+    """Product; with ``cap``, only its coefficients below x^cap.
+
+    The inputs need not be normalized.
+    """
     if not a or not b:
         return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly(out)
-
-
-def mul_truncated(a: Sequence, b: Sequence, order: int) -> list:
-    """Coefficients 0..order of a*b; inputs need not be normalized."""
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if i > order or x == 0:
-            continue
-        top = min(len(b) - 1, order - i)
-        for j in range(top + 1):
-            out[i + j] += x * b[j]
-    return out
+    top = len(a) + len(b) - 1
+    if cap is not None:
+        top = min(top, cap)
+    out = [0] * top
+    for i, x in enumerate(a[:top]):
+        if x:
+            for j, y in enumerate(b[: top - i]):
+                if y:
+                    out[i + j] += x * y
+    return _trim(out)
 
 
 def eval_at(p: Poly, x) -> Fraction:
@@ -110,7 +115,7 @@ def divmod_poly(a: Poly, b: Poly):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lc = 1 / b[-1]
+    inv_lc = Fraction(1) / b[-1]
     while len(r) >= len(b) and any(c != 0 for c in r):
         while r and r[-1] == 0:
             r.pop()
@@ -135,7 +140,7 @@ def div_exact(a: Poly, b: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if not p:
         return p
-    return scale(p, 1 / p[-1])
+    return scale(p, Fraction(1) / p[-1])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -246,63 +251,44 @@ class RootLocation:
         return f"({self.lo}, {self.hi})"
 
 
-def _isolate_squarefree(p: Poly, a: Fraction, b: Fraction, refine_steps: int):
-    """One isolation pass; returns ('hit', root) on an exact rational hit."""
+def isolate_roots(p: Poly, a, b):
+    """Locations of the distinct real roots of a square-free p in (a, b).
+
+    One Sturm chain drives the bisection.  A midpoint that is a root is
+    reported exactly and splits its interval in two; the other roots come
+    back as isolating intervals, halved ``REFINE_STEPS`` times once they
+    are isolated.  Sorted by position.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
+        raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(p)
-
-    def var(x):
-        return _variations(chain, x)
-
-    intervals = []
-    stack = [(a, b, var(a), var(b))]
+    roots = []
+    # (lo, hi, vlo, vhi, steps): vlo - vhi roots lie in the open (lo, hi),
+    # which has been halved ``steps`` times since it held a single root
+    stack = [(a, b, _variations(chain, a), _variations(chain, b), 0)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        lo, hi, vlo, vhi, steps = stack.pop()
         count = vlo - vhi
         if count == 0:
             continue
         mid = (lo + hi) / 2
         if eval_at(p, mid) == 0:
-            return "hit", mid
-        if count == 1:
-            # refine for readability; exact hits are still possible here
-            for _ in range(refine_steps):
-                vmid = var(mid)
-                if vlo - vmid == 1:
-                    hi, vhi = mid, vmid
-                else:
-                    lo, vlo = mid, vmid
-                mid = (lo + hi) / 2
-                if eval_at(p, mid) == 0:
-                    return "hit", mid
-            intervals.append(RootLocation(lo=lo, hi=hi))
-            continue
-        vmid = var(mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
-    return "done", intervals
-
-
-def isolate_roots(p: Poly, a, b, refine_steps: int = 16):
-    """Locations of the distinct real roots of a square-free p in (a, b).
-
-    Rational roots found along the way are reported exactly (the polynomial
-    is deflated and isolation restarts); the rest come back as isolating
-    intervals, sorted by position.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
-        raise ValueError("isolation endpoints must not be roots")
-    exact: list[RootLocation] = []
-    current = p
-    while True:
-        status, payload = _isolate_squarefree(current, a, b, refine_steps)
-        if status == "hit":
-            exact.append(RootLocation(lo=payload, hi=payload, exact=payload))
-            current = div_exact(current, (-payload, Fraction(1)))
-            continue
-        roots = exact + payload
-        roots.sort(key=lambda r: r.midpoint())
-        return roots
+            roots.append(RootLocation(lo=mid, hi=mid, exact=mid))
+            if count > 1:
+                vmid = _variations(chain, mid)
+                # across a simple root the sign sequence loses one variation
+                stack.append((lo, mid, vlo, vmid + 1, 0))
+                stack.append((mid, hi, vmid, vhi, 0))
+        elif steps == REFINE_STEPS:
+            roots.append(RootLocation(lo=lo, hi=hi))
+        else:
+            vmid = _variations(chain, mid)
+            steps = steps + 1 if count == 1 else 0
+            stack.append((lo, mid, vlo, vmid, steps))
+            stack.append((mid, hi, vmid, vhi, steps))
+    roots.sort(key=RootLocation.midpoint)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,9 @@ def mat_coefficients(m: PolyMatrix) -> tuple:
     )
 
 
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
+    """Matrix product; with ``cap``, every entry keeps only its
+    coefficients below x^cap."""
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     out = [[ZERO] * m for _ in range(n)]
     for i in range(n):
@@ -338,7 +326,7 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 continue
             for j in range(m):
                 if not is_zero(b[t][j]):
-                    out[i][j] = add(out[i][j], mul(a[i][t], b[t][j]))
+                    out[i][j] = add(out[i][j], mul(a[i][t], b[t][j], cap))
     return out
 
 
@@ -366,10 +354,7 @@ def mat_det_bareiss(m: PolyMatrix) -> Poly:
                 return ZERO
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _int_add(
-                    _int_mul(a[i][j], a[k][k], None),
-                    tuple(-x for x in _int_mul(a[i][k], a[k][j], None)),
-                )
+                num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
                 a[i][j] = _int_div_exact(num, prev)
             a[i][k] = ()
         prev = a[k][k]
@@ -393,22 +378,6 @@ def _to_int_polys(m: PolyMatrix, d: int):
     ]
 
 
-def _int_trim(p):
-    k = len(p)
-    while k and p[k - 1] == 0:
-        k -= 1
-    return tuple(p[:k])
-
-
-def _int_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _int_trim(out)
-
-
 def _int_div_exact(a, b):
     """Exact division in Z[x]; the caller guarantees divisibility."""
     if not a:
@@ -429,26 +398,7 @@ def _int_div_exact(a, b):
         r.pop()
     if any(c != 0 for c in r):
         raise ArithmeticError("integer polynomial division was not exact")
-    return _int_trim(q)
-
-
-def _int_mul(a, b, cap):
-    """Integer-coefficient product, keeping at most ``cap`` coefficients."""
-    if not a or not b:
-        return ()
-    top = len(a) + len(b) - 1
-    if cap is not None:
-        top = min(top, cap)
-    out = [0] * top
-    for i, x in enumerate(a):
-        if x == 0 or i >= top:
-            continue
-        jmax = min(len(b), top - i)
-        for j in range(jmax):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return _int_trim(out)
+    return _trim(q)
 
 
 def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
@@ -467,33 +417,19 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
         return [], ONE
     d = _common_denominator(m)
     im = _to_int_polys(m, d)
-    ident = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
-
-    def matmul(a, b):
-        out = [[()] * n for _ in range(n)]
-        for i in range(n):
-            for t in range(n):
-                left = a[i][t]
-                if not left:
-                    continue
-                for j in range(n):
-                    if b[t][j]:
-                        out[i][j] = _int_add(out[i][j], _int_mul(left, b[t][j], mod_order))
-        return out
-
-    acc = ident  # M_1 = I
+    acc = [[(1,) if i == j else () for j in range(n)] for i in range(n)]  # M_1 = I
     c = (1,)
     for k in range(1, n + 1):
-        am = matmul(im, acc)
+        am = mat_mul(im, acc, mod_order)
         tr = ()
         for i in range(n):
-            tr = _int_add(tr, am[i][i])
+            tr = add(tr, am[i][i])
         # trace coefficients are divisible by k: they are (up to sign) the
         # characteristic polynomial coefficients of an integer matrix
         c = tuple(-x // k for x in tr)
         if k < n:
             acc = [
-                [_int_add(am[i][j], c) if i == j else am[i][j] for j in range(n)]
+                [add(am[i][j], c) if i == j else am[i][j] for j in range(n)]
                 for i in range(n)
             ]
     det_sign = -1 if n % 2 else 1

@@ -17,6 +17,7 @@ a canonical machine-readable report, byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -60,7 +61,12 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-_METHODS = ("ord-det", "schur", "laurent", "transversal")
+_ROUTES = {
+    "ord-det": multiplicity_det,
+    "schur": multiplicity_schur,
+    "laurent": multiplicity_laurent,
+    "transversal": multiplicity_transversal,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chi = sub.add_parser("chi", help="multiplicity of a curve at its base point")
     p_chi.add_argument("--curve", required=True, metavar="FILE")
     p_chi.add_argument(
-        "--method", default="all", choices=_METHODS + ("all",)
+        "--method", default="all", choices=(*_ROUTES, "all")
     )
     add_json(p_chi)
 
@@ -197,19 +203,12 @@ def _power_tag(value: float, n: int, tol: float) -> str | None:
 
 def _cmd_chi(args):
     curve = documents.curve_from_document(documents.load_file(args.curve))
-    routes = _METHODS if args.method == "all" else (args.method,)
+    routes = tuple(_ROUTES) if args.method == "all" else (args.method,)
     reports = {}
     notes = {}
     for name in routes:
         try:
-            if name == "ord-det":
-                reports[name] = multiplicity_det(curve)
-            elif name == "schur":
-                reports[name] = multiplicity_schur(curve)
-            elif name == "laurent":
-                reports[name] = multiplicity_laurent(curve)
-            else:
-                reports[name] = multiplicity_transversal(curve)
+            reports[name] = _ROUTES[name](curve)
         except NotTransversal as exc:
             if args.method == "all":
                 notes[name] = f"not transversal ({exc})"
@@ -335,7 +334,7 @@ def _cmd_torsion(args):
     if args.table == "table":
         rows = []
         for signs in sorted(
-            _all_sign_vectors(args.n), key=lambda s: (s.count(-1), _bits(s))
+            itertools.product((1, -1), repeat=args.n), key=lambda s: s.count(-1)
         ):
             report = torsion_invariant(torus, Z2Homomorphism(signs), args.cutoff)
             rows.append((signs, report))
@@ -378,17 +377,6 @@ def _cmd_torsion(args):
         "error_bound": report.error_bound,
     }
     return payload, EXIT_OK
-
-
-def _all_sign_vectors(n):
-    out = []
-    for mask in range(1 << n):
-        out.append(tuple(-1 if (mask >> i) & 1 else 1 for i in range(n)))
-    return out
-
-
-def _bits(signs):
-    return tuple(0 if s == 1 else 1 for s in signs)
 
 
 def _cmd_theta(args):

@@ -124,7 +124,7 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         k = min(self.known_order, other.known_order)
-        return Jet(tuple(_poly.mul_truncated(self.coeffs, other.coeffs, k)))
+        return Jet.from_polynomial(_poly.mul(self.coeffs, other.coeffs, k + 1), k)
 
     def scale(self, c) -> "Jet":
         c = Fraction(c)

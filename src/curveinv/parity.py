@@ -227,14 +227,12 @@ def crossing_parity(path: PolynomialPath) -> ParityValue:
     """
     path.ensure_admissible()
     det = path.determinant_polynomial()
-    ddet = _poly.derivative(det)
-    common = _poly.gcd(det, ddet)
-    if _poly.degree(common) > 0 and _poly.count_roots_open(common, path.a, path.b) > 0:
+    common = _poly.gcd(det, _poly.derivative(det))
+    if _poly.count_roots_open(common, path.a, path.b) > 0:
         raise NonTransversalCrossing(
             "a determinant root of multiplicity > 1 lies in the interval"
         )
-    squarefree = _poly.div_exact(det, common) if _poly.degree(common) > 0 else det
-    roots = _poly.isolate_roots(_poly.monic(squarefree), path.a, path.b)
+    roots = _poly.isolate_roots(_poly.div_exact(det, common), path.a, path.b)
     crossings = tuple(Crossing(location=r, multiplicity=1) for r in roots)
     return ParityValue(sign=(-1) ** len(roots), crossings=crossings)
 

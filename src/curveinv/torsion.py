@@ -56,8 +56,7 @@ class FlatTorus:
             raise ValueError("torus dimension must be at least 1")
         if not (math.isfinite(self.period) and self.period > 0):
             raise ValueError("period must be finite and positive")
-        if self.time <= 0:
-            raise NonpositiveTime("heat-kernel time must be positive")
+        _check_time(self.time)
 
     @property
     def decay(self) -> float:
@@ -65,10 +64,14 @@ class FlatTorus:
         return self.period * self.period / (4.0 * self.time)
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise NonpositiveTime("heat-kernel time must be finite and positive")
+
+
 def heat_kernel_rn(n: int, t: float, x: Sequence[float], y: Sequence[float]) -> float:
     """Gaussian heat kernel of flat n-space; symmetric in x and y."""
-    if t <= 0:
-        raise NonpositiveTime("heat-kernel time must be positive")
+    _check_time(t)
     if len(x) != n or len(y) != n:
         raise ValueError("points must have length n")
     d2 = sum((a - b) * (a - b) for a, b in zip(x, y))
@@ -93,6 +96,21 @@ def _gaussian_tail(decay: float, cutoff: int) -> float:
             "the lattice terms decay too slowly to bound the tail at this cutoff"
         )
     return head / (1.0 - ratio)
+
+
+def _certified_plain_sum(decay: float, cutoff: int) -> tuple:
+    """The truncated plain Gaussian sum and the bound on its tail.
+
+    Refuses a tail bound at least as large as the sum: every quotient by
+    the sum would then carry an unbounded error.
+    """
+    plain = _signed_gaussian_sum(decay, False, cutoff)
+    tail = _gaussian_tail(decay, cutoff)
+    if tail >= plain:
+        raise CutoffTooSmall(
+            "the tail bound exceeds the truncated sum; no error bound can be certified"
+        )
+    return plain, tail
 
 
 @dataclass(frozen=True)
@@ -186,8 +204,8 @@ def wiener_weight(
             "cutoff must cover the largest index of the requested deck class"
         )
     c = torus.decay
-    denom = _signed_gaussian_sum(c, False, cutoff) ** torus.n
-    return math.exp(-c * sum(m * m for m in word)) / denom
+    plain, _ = _certified_plain_sum(c, cutoff)
+    return math.exp(-c * sum(m * m for m in word)) / plain**torus.n
 
 
 @dataclass(frozen=True)
@@ -217,7 +235,7 @@ def weight_table(
     if cutoff < max_class:
         raise CutoffTooSmall("cutoff must cover the largest class index")
     c = torus.decay
-    one_dim = _signed_gaussian_sum(c, False, cutoff)
+    one_dim, tail = _certified_plain_sum(c, cutoff)
     classes = sorted(
         product(range(-max_class, max_class + 1), repeat=torus.n),
         key=lambda w: (sum(m * m for m in w), w),
@@ -234,7 +252,7 @@ def weight_table(
         cutoff=cutoff,
         entries=entries,
         normalization=normalization,
-        tail_bound=_gaussian_tail(c, cutoff),
+        tail_bound=tail,
     )
 
 
@@ -291,13 +309,8 @@ def torsion_invariant(
             contributions=contributions,
         )
     c = torus.decay
-    plain = _signed_gaussian_sum(c, False, cutoff)
+    plain, tail = _certified_plain_sum(c, cutoff)
     alt = _signed_gaussian_sum(c, True, cutoff)
-    tail = _gaussian_tail(c, cutoff)
-    if tail >= plain:
-        raise CutoffTooSmall(
-            "the tail bound exceeds the truncated sum; no error bound can be certified"
-        )
     ratio = alt / plain
     # |true ratio - ratio| <= tail*(plain + |alt|) / (plain*(plain - tail))
     ratio_err = tail * (plain + abs(alt)) / (plain * (plain - tail))

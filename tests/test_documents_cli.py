@@ -315,6 +315,8 @@ def test_nonfinite_or_nonpositive_torus_flags_exit_2(argv, capsys):
         ["weights", "--n", "1", "--period", "1e-10"],
         ["orientable", "--n", "1", "--signs=-1", "--period", "1e-10"],
         ["torsion", "--n", "1", "--signs=-1", "--period", "0.05"],
+        ["weights", "--n", "1", "--period", "0.05"],
+        ["torsion", "--n", "1", "--signs=1", "--period", "0.05"],
     ],
 )
 def test_uncertifiable_tail_bound_exits_3(argv, capsys):

@@ -290,6 +290,27 @@ def test_order_additivity(a, b):
             assert prod_order.is_finite and prod_order.value == total
 
 
+@pytest.mark.parametrize(
+    "coeffs", [st.integers(-9, 9), small_fracs], ids=["int", "fraction"]
+)
+@given(data=st.data())
+def test_capped_mul_is_truncated_product(coeffs, data):
+    a = tuple(data.draw(st.lists(coeffs, max_size=6)))
+    b = tuple(data.draw(st.lists(coeffs, max_size=6)))
+    cap = data.draw(st.integers(0, 12))
+    product = [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+    while product and product[-1] == 0:
+        product.pop()
+    assert _poly.mul(a, b) == tuple(product)
+    capped = _poly.mul(a, b, cap)
+    assert capped == _poly.poly(product[:cap])
+    if all(isinstance(c, int) for c in a + b):
+        assert all(type(c) is int for c in _poly.mul(a, b) + capped)
+
+
 @settings(deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_det_multiplicative(order, data):

@@ -275,46 +275,78 @@ def test_reversed_path_has_same_parity(rng):
 
 
 def test_root_machinery_against_sympy_oracle(rng):
-    # independent check of the Sturm counts and the square-free multiplicity
-    # bookkeeping that the crossing/chi-sum parities are built on
+    # independent check of the Sturm counts, the root locations and the
+    # square-free multiplicity bookkeeping that the crossing/chi-sum
+    # parities are built on
     import sympy
 
     from curveinv import _poly
 
     x = sympy.Symbol("x")
-    checked = 0
-    while checked < 30:
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def real_roots(q):
+        """sympy's real roots of q in (-1, 1), repeated by multiplicity."""
+        sq = sympy.Poly(sum(rational(c) * x**i for i, c in enumerate(q)), x)
+        return [r for r in sq.real_roots() if -1 < r < 1]
+
+    def check_locations(locations, q):
+        roots = set(real_roots(q))
+        assert len(locations) == len(roots)
+        for r in locations:
+            if r.exact is not None:
+                assert rational(r.exact) in roots
+            else:
+                a, b = rational(r.lo), rational(r.hi)
+                assert sum(1 for root in roots if a < root < b) == 1
+
+    # dyadic roots at bisection midpoints next to irrational ones, simple
+    # and repeated: x (x^2 - 2/3) and (x - 1/2)^2 x (x^2 - 2/3)
+    cubic = _poly.poly((0, F(-2, 3), 0, 1))
+    polys = [cubic, _poly.mul(_poly.mul(cubic, (F(-1, 2), F(1))), (F(-1, 2), F(1)))]
+    while len(polys) < 32:
         deg = rng.randint(1, 7)
         p = _poly.poly(
             F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg + 1)
         )
         if rng.random() < 0.5 and not _poly.is_zero(p):
             p = _poly.mul(p, p)  # force repeated roots half the time
-        if (
+        if not (
             _poly.is_zero(p)
             or _poly.eval_at(p, F(-1)) == 0
             or _poly.eval_at(p, F(1)) == 0
         ):
-            continue
-        sp = sympy.Poly(
-            sum(
-                sympy.Rational(c.numerator, c.denominator) * x**i
-                for i, c in enumerate(p)
-            ),
-            x,
-        )
-        roots = [r for r in sp.real_roots() if sympy.Rational(-1) < r < 1]
-        distinct = len(set(roots))
-        with_mult = len(roots)
-
+            polys.append(p)
+    for p in polys:
         g = _poly.gcd(p, _poly.derivative(p))
-        squarefree = _poly.div_exact(p, g) if _poly.degree(g) > 0 else p
-        assert _poly.count_roots_open(squarefree, F(-1), F(1)) == distinct
-        assert len(_poly.isolate_roots(_poly.monic(squarefree), F(-1), F(1))) == distinct
+        squarefree = _poly.div_exact(p, g)
+        roots = real_roots(p)
+        assert _poly.count_roots_open(squarefree, F(-1), F(1)) == len(set(roots))
+        check_locations(_poly.isolate_roots(squarefree, F(-1), F(1)), squarefree)
 
         _, factors = _poly.squarefree_decomposition(p)
-        total = sum(
-            mult * len(_poly.isolate_roots(f, F(-1), F(1))) for f, mult in factors
-        )
-        assert total == with_mult
-        checked += 1
+        total = 0
+        for f, mult in factors:
+            locations = _poly.isolate_roots(f, F(-1), F(1))
+            check_locations(locations, f)
+            total += mult * len(locations)
+        assert total == len(roots)
+
+
+def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
+    from curveinv import _poly
+
+    chains = []
+    build = _poly.sturm_chain
+    monkeypatch.setattr(_poly, "sturm_chain", lambda p: chains.append(p) or build(p))
+    # exact roots 0 and +-1/2 fall on bisection midpoints of (-1, 1), and
+    # +-sqrt(2/3) sit in the intervals they split off
+    p = _poly.poly((0, F(1, 6), 0, F(-11, 12), 0, 1))  # x (x^2 - 1/4) (x^2 - 2/3)
+    locations = _poly.isolate_roots(p, F(-1), F(1))
+    assert len(chains) == 1
+    assert [r.exact for r in locations] == [None, F(-1, 2), F(0), F(1, 2), None]
+    for r, sign in ((locations[0], -1), (locations[-1], 1)):
+        assert r.lo < sign * F(2, 3) ** 0.5 < r.hi
+        assert r.hi - r.lo == F(1, 2**17)

@@ -46,9 +46,12 @@ def test_heat_kernel_symmetry():
     assert heat_kernel_rn(3, 0.7, x, y) == heat_kernel_rn(3, 0.7, y, x)
 
 
-def test_heat_kernel_rejects_nonpositive_time():
+@pytest.mark.parametrize("time", [0.0, -1.0, math.nan, math.inf])
+def test_heat_kernel_rejects_nonpositive_time(time):
     with pytest.raises(NonpositiveTime):
-        heat_kernel_rn(1, 0.0, (0.0,), (0.0,))
+        heat_kernel_rn(1, time, (0.0,), (0.0,))
+    with pytest.raises(NonpositiveTime):
+        FlatTorus(1, time=time)
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
@@ -59,8 +62,13 @@ def test_torus_rejects_nonpositive_or_nonfinite_period(period):
 
 @pytest.mark.parametrize("period", [1e-10, 0.05])
 def test_torsion_raises_when_tail_bound_cannot_be_certified(period):
+    torus = FlatTorus(1, period=period)
     with pytest.raises(CutoffTooSmall):
-        torsion_invariant(FlatTorus(1, period=period), Z2Homomorphism((-1,)))
+        torsion_invariant(torus, Z2Homomorphism((-1,)))
+    with pytest.raises(CutoffTooSmall):
+        weight_table(torus, 1)
+    with pytest.raises(CutoffTooSmall):
+        wiener_weight(torus, (0,))
 
 
 # -- theta sums ---------------------------------------------------------------
