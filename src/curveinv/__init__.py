@@ -16,7 +16,6 @@ from .errors import (
 from .exactnum import (
     InsufficientJetOrder,
     Jet,
-    JetMatrix,
     LaurentJet,
     LaurentMatrix,
     NotAUnit,
@@ -24,7 +23,6 @@ from .exactnum import (
     SingularToKnownOrder,
     jet_det,
     jet_inverse,
-    jet_mul,
     laurent_matrix_inverse,
     vanishing_order,
 )

@@ -206,10 +206,11 @@ def sturm_chain(p: Poly):
     return [c for c in chain if not is_zero(c)]
 
 
-def _variations(chain, x) -> int:
+def _variations(chain, x, px) -> int:
+    """Sign variations of the chain at x, given ``px``, the value there of
+    ``chain[0]`` (the caller has already evaluated it)."""
     signs = []
-    for q in chain:
-        v = eval_at(q, x)
+    for v in (px, *(eval_at(q, x) for q in chain[1:])):
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
@@ -218,10 +219,11 @@ def _variations(chain, x) -> int:
 def count_roots_open(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b); requires p(a), p(b) != 0."""
     a, b = Fraction(a), Fraction(b)
-    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
+    pa, pb = eval_at(p, a), eval_at(p, b)
+    if pa == 0 or pb == 0:
         raise ValueError("Sturm endpoints must not be roots")
     chain = sturm_chain(p)
-    return _variations(chain, a) - _variations(chain, b)
+    return _variations(chain, a, pa) - _variations(chain, b, pb)
 
 
 @dataclass(frozen=True)
@@ -260,30 +262,32 @@ def isolate_roots(p: Poly, a, b):
     are isolated.  Sorted by position.
     """
     a, b = Fraction(a), Fraction(b)
-    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
+    pa, pb = eval_at(p, a), eval_at(p, b)
+    if pa == 0 or pb == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(p)
     roots = []
     # (lo, hi, vlo, vhi, steps): vlo - vhi roots lie in the open (lo, hi),
     # which has been halved ``steps`` times since it held a single root
-    stack = [(a, b, _variations(chain, a), _variations(chain, b), 0)]
+    stack = [(a, b, _variations(chain, a, pa), _variations(chain, b, pb), 0)]
     while stack:
         lo, hi, vlo, vhi, steps = stack.pop()
         count = vlo - vhi
         if count == 0:
             continue
         mid = (lo + hi) / 2
-        if eval_at(p, mid) == 0:
+        pmid = eval_at(p, mid)
+        if pmid == 0:
             roots.append(RootLocation(lo=mid, hi=mid, exact=mid))
             if count > 1:
-                vmid = _variations(chain, mid)
+                vmid = _variations(chain, mid, pmid)
                 # across a simple root the sign sequence loses one variation
                 stack.append((lo, mid, vlo, vmid + 1, 0))
                 stack.append((mid, hi, vmid, vhi, 0))
         elif steps == REFINE_STEPS:
             roots.append(RootLocation(lo=lo, hi=hi))
         else:
-            vmid = _variations(chain, mid)
+            vmid = _variations(chain, mid, pmid)
             steps = steps + 1 if count == 1 else 0
             stack.append((lo, mid, vlo, vmid, steps))
             stack.append((mid, hi, vmid, vhi, steps))

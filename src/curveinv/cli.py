@@ -61,6 +61,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
+# largest table ``torsion table`` or ``weights`` may build (2^n and
+# (2*max_class + 1)^n rows)
+MAX_ROWS = 100_000
+
 _ROUTES = {
     "ord-det": multiplicity_det,
     "schur": multiplicity_schur,
@@ -317,6 +321,14 @@ def _cmd_parity(args):
     return payload, EXIT_OK
 
 
+def _check_rows(base: int, n: int, what: str) -> None:
+    """Reject a table of base^n rows above MAX_ROWS before building it."""
+    # base >= 2 gives base^k > MAX_ROWS at k = MAX_ROWS.bit_length(), so the
+    # exponent is capped there and a huge n costs nothing to check
+    if base ** min(n, MAX_ROWS.bit_length()) > MAX_ROWS:
+        raise DocumentError(f"{what} would have {base}^{n} rows, above {MAX_ROWS}")
+
+
 def _torus(args, n):
     for flag in ("period", "tol"):
         value = getattr(args, flag, 1.0)
@@ -332,6 +344,7 @@ def _cmd_torsion(args):
         raise DocumentError("--n must be at least 1")
     torus = _torus(args, args.n)
     if args.table == "table":
+        _check_rows(2, args.n, "the torsion table")
         rows = []
         for signs in sorted(
             itertools.product((1, -1), repeat=args.n), key=lambda s: s.count(-1)
@@ -400,6 +413,7 @@ def _cmd_weights(args):
         raise DocumentError("--n must be at least 1")
     if args.max_class < 0:
         raise DocumentError("--max-class must be non-negative")
+    _check_rows(2 * args.max_class + 1, args.n, "the weight table")
     table = weight_table(_torus(args, args.n), args.max_class, args.cutoff)
     print(f"deck-class weights (n={args.n}, box {args.max_class}, "
           f"cutoff {args.cutoff})")

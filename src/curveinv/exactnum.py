@@ -1,10 +1,12 @@
-"""Truncated power series (jets), Laurent jets and jet matrices over Q.
+"""Truncated power series (jets) and Laurent jets over Q.
 
 This is the arithmetic bedrock of the package: every order-of-vanishing
 computation runs here, in exact rational arithmetic.  A jet stores the
 coefficients it actually knows (indices 0..known_order); every operation
 propagates the known order pessimistically, so a coefficient is never
-reported unless it is genuinely determined by the inputs.
+reported unless it is genuinely determined by the inputs.  A matrix of
+jets is a ``_poly`` polynomial matrix read through an order passed beside
+it, as ``jet_det`` and ``laurent_matrix_inverse`` take it.
 
 All values are immutable and all operations are pure functions; everything
 in this module is safe to share between threads.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg, _poly
+from . import _poly
 from .errors import PreconditionError
 
 
@@ -126,10 +128,6 @@ class Jet:
         k = min(self.known_order, other.known_order)
         return Jet.from_polynomial(_poly.mul(self.coeffs, other.coeffs, k + 1), k)
 
-    def scale(self, c) -> "Jet":
-        c = Fraction(c)
-        return Jet(tuple(x * c for x in self.coeffs))
-
     def agrees_with(self, other: "Jet") -> bool:
         k = min(self.known_order, other.known_order)
         return self.coeffs[: k + 1] == other.coeffs[: k + 1]
@@ -141,11 +139,6 @@ class Jet:
         terms = [f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.known_order + 1})"
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product at the common known order."""
-    return a * b
 
 
 def jet_inverse(a: Jet) -> Jet:
@@ -171,104 +164,16 @@ def vanishing_order(a: Jet) -> OrdResult:
     return OrdResult.undetermined(a.known_order + 1)
 
 
-@dataclass(frozen=True)
-class JetMatrix:
-    """Square matrix of jets sharing one known order.
+def jet_det(m: _poly.PolyMatrix, order: int) -> Jet:
+    """Determinant of a polynomial matrix in the jet ring of ``order``.
 
-    Stored as a tuple of coefficient matrices (``coeffs[k][i][j]`` is the
-    k-th series coefficient of entry (i, j)); this keeps matrix products a
-    plain convolution of rational matrices.  The empty matrix (dim 0) is
-    allowed as the degenerate block arising when a kernel is trivial; its
-    determinant is the empty product.
-    """
-
-    dim: int
-    coeffs: tuple  # tuple of dim x dim rational matrices, length known_order+1
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be non-negative")
-        if not self.coeffs:
-            raise ValueError("a jet matrix stores at least its constant term")
-        frozen = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in mat)
-            for mat in self.coeffs
-        )
-        for mat in frozen:
-            if len(mat) != self.dim or any(len(row) != self.dim for row in mat):
-                raise ValueError("coefficient matrices must be dim x dim")
-        object.__setattr__(self, "coeffs", frozen)
-
-    @property
-    def known_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def identity(cls, dim: int, order: int) -> "JetMatrix":
-        mats = [_linalg.identity(dim)] + [_linalg.zeros(dim, dim)] * order
-        return cls(dim, tuple(mats))
-
-    @classmethod
-    def from_entries(cls, grid) -> "JetMatrix":
-        """Build from a grid of jets; the common order is the minimum."""
-        dim = len(grid)
-        order = min(j.known_order for row in grid for j in row) if dim else 0
-        mats = [
-            tuple(tuple(grid[i][j].coeffs[k] for j in range(dim)) for i in range(dim))
-            for k in range(order + 1)
-        ]
-        return cls(dim, tuple(mats))
-
-    def entry(self, i: int, j: int) -> Jet:
-        return Jet(tuple(mat[i][j] for mat in self.coeffs))
-
-    def truncate(self, order: int) -> "JetMatrix":
-        if order >= self.known_order:
-            return self
-        return JetMatrix(self.dim, self.coeffs[: order + 1])
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        k = min(self.known_order, other.known_order)
-        mats = [
-            _linalg.madd(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
-        ]
-        return JetMatrix(self.dim, tuple(mats))
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        k = min(self.known_order, other.known_order)
-        mats = [
-            _linalg.msub(self.coeffs[t], other.coeffs[t]) for t in range(k + 1)
-        ]
-        return JetMatrix(self.dim, tuple(mats))
-
-    def __mul__(self, other: "JetMatrix") -> "JetMatrix":
-        k = min(self.known_order, other.known_order)
-        mats = []
-        for t in range(k + 1):
-            acc = _linalg.zeros(self.dim, self.dim)
-            for i in range(t + 1):
-                acc = _linalg.madd(
-                    acc, _linalg.matmul(self.coeffs[i], other.coeffs[t - i])
-                )
-            mats.append(acc)
-        return JetMatrix(self.dim, tuple(mats))
-
-    def polynomial_lift(self):
-        """Entries as exact polynomials built from the stored coefficients."""
-        return _poly.mat_lift(self.coeffs)
-
-
-def jet_det(m: JetMatrix) -> Jet:
-    """Determinant in the truncated jet ring.
-
-    The exact determinant of the polynomial lift, by fraction-free Bareiss
-    elimination over Z[x], truncated to the known order.  Truncation is a
-    ring homomorphism, so this is the jet determinant at every dimension
+    The exact determinant of ``m``, by fraction-free Bareiss elimination
+    over Z[x], truncated to ``order``.  Truncation is a ring homomorphism,
+    so this is the determinant of the matrix of jets at every dimension
     (pivoting on the jets themselves would be unsound: the jet ring has
-    zero divisors).
+    zero divisors).  The empty matrix gives the one-jet.
     """
-    d = _poly.mat_det_bareiss(m.polynomial_lift())
-    return Jet.from_polynomial(d, m.known_order)
+    return Jet.from_polynomial(_poly.mat_det_bareiss(m), order)
 
 
 @dataclass(frozen=True)
@@ -431,24 +336,17 @@ class LaurentMatrix:
             rows.append(tuple(row))
         return LaurentMatrix(n, tuple(rows))
 
-    @classmethod
-    def from_jet_matrix(cls, m: JetMatrix) -> "LaurentMatrix":
-        grid = tuple(
-            tuple(LaurentJet.from_jet(m.entry(i, j)) for j in range(m.dim))
-            for i in range(m.dim)
-        )
-        return cls(m.dim, grid)
 
+def laurent_matrix_inverse(m: _poly.PolyMatrix, order: int) -> LaurentMatrix:
+    """Inverse of a polynomial matrix known through ``order``, as a matrix
+    of Laurent jets.
 
-def laurent_matrix_inverse(m: JetMatrix) -> LaurentMatrix:
-    """Inverse of a jet matrix as a matrix of Laurent jets.
-
-    Computed as adjugate over determinant; every pole order is bounded by
-    the vanishing order of the determinant, and the product with ``m``
-    equals the identity through the representable window.
+    Computed as adjugate over determinant, both modulo x^(order + 1); every
+    pole order is bounded by the vanishing order of the determinant, and
+    the product with ``m`` equals the identity through the representable
+    window.
     """
-    adj_poly, det_poly = _poly.mat_adjugate_det(m.polynomial_lift())
-    order = m.known_order
+    adj_poly, det_poly = _poly.mat_adjugate_det(m, mod_order=order + 1)
     det_jet = Jet.from_polynomial(det_poly, order)
     k = vanishing_order(det_jet)
     if not k.is_finite:
@@ -457,15 +355,14 @@ def laurent_matrix_inverse(m: JetMatrix) -> LaurentMatrix:
         )
     det_inv = LaurentJet.from_jet(det_jet).inverse()
     rows = []
-    for i in range(m.dim):
+    for adj_row in adj_poly:
         row = []
-        for j in range(m.dim):
-            a = LaurentJet.from_jet(Jet.from_polynomial(adj_poly[i][j], order))
-            q = a * det_inv
+        for p in adj_row:
+            q = LaurentJet.from_jet(Jet.from_polynomial(p, order)) * det_inv
             if q.known_through < -q.pole_order:
                 raise InsufficientJetOrder(
                     "quotient retains no significant coefficients"
                 )
             row.append(q)
         rows.append(tuple(row))
-    return LaurentMatrix(m.dim, tuple(rows))
+    return LaurentMatrix(len(m), tuple(rows))

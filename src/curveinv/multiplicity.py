@@ -26,7 +26,6 @@ from .errors import InternalConsistencyError, PreconditionError
 from .exactnum import (
     InsufficientJetOrder,
     Jet,
-    JetMatrix,
     LaurentJet,
     LaurentMatrix,
     SingularToKnownOrder,
@@ -81,17 +80,6 @@ class MatrixCurveJet:
     def evaluate(self, lam) -> _linalg.Matrix:
         return _linalg.polyval(self.coefficients, Fraction(lam) - self.base_point)
 
-    def jet_matrix(self, order: int | None = None) -> JetMatrix:
-        """The curve as a jet matrix in the local variable, padded with
-        exact zero coefficients beyond its polynomial degree."""
-        if order is None:
-            order = self.degree
-        mats = list(self.coefficients[: order + 1])
-        zero = _linalg.zeros(self.dim, self.dim)
-        while len(mats) < order + 1:
-            mats.append(zero)
-        return JetMatrix(self.dim, tuple(mats))
-
     def polynomial_lift(self):
         return _poly.mat_lift(self.coefficients)
 
@@ -102,18 +90,14 @@ class MatrixCurveJet:
 
 
 def pointwise_product(a: MatrixCurveJet, b: MatrixCurveJet) -> MatrixCurveJet:
-    """The curve of operator products, coefficientwise a convolution."""
+    """The curve of operator products, of degree ``a.degree + b.degree``
+    (vanishing top coefficients are kept as zero matrices)."""
     if a.dim != b.dim or a.base_point != b.base_point:
         raise ValueError("curves must share dimension and base point")
-    out = []
-    for k in range(a.degree + b.degree + 1):
-        acc = _linalg.zeros(a.dim, a.dim)
-        for i in range(max(0, k - b.degree), min(k, a.degree) + 1):
-            acc = _linalg.madd(
-                acc, _linalg.matmul(a.coefficients[i], b.coefficients[k - i])
-            )
-        out.append(acc)
-    return MatrixCurveJet(a.dim, a.base_point, tuple(out))
+    product = _poly.mat_mul(a.polynomial_lift(), b.polynomial_lift())
+    out = _poly.mat_coefficients(product)
+    pad = (_linalg.zeros(a.dim, a.dim),) * (a.degree + b.degree + 1 - len(out))
+    return MatrixCurveJet(a.dim, a.base_point, out + pad)
 
 
 def shifted_eigen_curve(k: _linalg.Matrix, mu) -> MatrixCurveJet:
@@ -325,7 +309,7 @@ def multiplicity_det(
     """
     capped = order is not None
     bound = curve.order_bound() if order is None else order
-    d = jet_det(curve.jet_matrix(bound))
+    d = jet_det(curve.polynomial_lift(), bound)
     return _order_report(d, "ord-det", capped)
 
 
@@ -386,8 +370,8 @@ def schur_operator(
     curve: MatrixCurveJet,
     pair: ProjectionPair | None = None,
     order: int | None = None,
-) -> JetMatrix:
-    """The kernel-block Schur complement of the curve as a jet matrix.
+) -> tuple:
+    """The kernel-block Schur complement of the curve, as rows of jets.
 
     Expressed in the pair's kernel basis (domain) and range-complement
     basis (codomain); the block is empty when the constant term is
@@ -396,11 +380,9 @@ def schur_operator(
     if order is None:
         order = curve.order_bound()
     det11, s = _schur_numerator(curve, pair)
-    if not s:
-        return JetMatrix(0, tuple(() for _ in range(order + 1)))
     inv11 = jet_inverse(Jet.from_polynomial(det11, order))
-    return JetMatrix.from_entries(
-        [[Jet.from_polynomial(p, order) * inv11 for p in row] for row in s]
+    return tuple(
+        tuple(Jet.from_polynomial(p, order) * inv11 for p in row) for row in s
     )
 
 
@@ -412,9 +394,17 @@ def local_determinant(
     """Determinant of the Schur block; the empty block gives the one-jet.
 
     Nonvanishing at a parameter value is equivalent to invertibility of
-    the curve there, which is what makes this a local determinant.
+    the curve there, which is what makes this a local determinant.  It is
+    ``det S = det S~ * (det L11)^-k`` for the k x k block ``S~``.
     """
-    return jet_det(schur_operator(curve, pair, order))
+    if order is None:
+        order = curve.order_bound()
+    det11, s = _schur_numerator(curve, pair)
+    inv11 = jet_inverse(Jet.from_polynomial(det11, order))
+    d = jet_det(s, order)
+    for _ in s:
+        d = d * inv11
+    return d
 
 
 def multiplicity_schur(
@@ -434,8 +424,7 @@ def multiplicity_schur(
     capped = order is not None
     bound = curve.order_bound() if order is None else order
     _, s = _schur_numerator(curve, pair)
-    d = Jet.from_polynomial(_poly.mat_det_bareiss(s), bound)
-    return _order_report(d, "schur", capped)
+    return _order_report(jet_det(s, bound), "schur", capped)
 
 
 # ---------------------------------------------------------------------------

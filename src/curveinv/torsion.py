@@ -79,10 +79,16 @@ def heat_kernel_rn(n: int, t: float, x: Sequence[float], y: Sequence[float]) -> 
 
 
 def _signed_gaussian_sum(decay: float, alternating: bool, cutoff: int) -> float:
-    """sum over |m| <= cutoff of (+-1)^m exp(-decay m^2), ascending |m|."""
+    """sum over |m| <= cutoff of (+-1)^m exp(-decay m^2), ascending |m|.
+
+    Stops at the first term that underflows to 0.0: the terms decrease in
+    |m|, so every later one is 0.0 too and adding it leaves the sum as is.
+    """
     s = 1.0
     for m in range(1, cutoff + 1):
         term = 2.0 * math.exp(-decay * m * m)
+        if term == 0.0:
+            break
         s += -term if (alternating and m % 2 == 1) else term
     return s
 
@@ -269,15 +275,16 @@ class TorsionReport:
 
     The value always lies in [-1, 1]; it equals 1 exactly when every
     generator sign is +1 (computed symbolically, no truncation at all).
-    ``contributions`` lists the signed weights of the deck classes in the
-    unit box, for inspection.
+    ``contributions`` lists the signed weights of the 3^n deck classes in
+    the unit box, for inspection; it is None for n > 8, where the box is
+    not built.
     """
 
     value: float
     cutoff: int
     error_bound: float
     signs: tuple
-    contributions: tuple
+    contributions: tuple | None
 
     def __str__(self) -> str:
         return f"{self.value!r} (+/- {self.error_bound:.3e})"
@@ -333,7 +340,7 @@ def torsion_invariant(
 
 def _unit_box_contributions(torus, zeta, cutoff):
     if torus.n > 8:
-        return ()
+        return None
     return tuple(
         ClassContribution(deck_class=w, sign=zeta.sign_on(w), weight=weight)
         for w, weight in weight_table(torus, 1, cutoff).entries

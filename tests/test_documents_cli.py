@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import curve_with_known_multiplicity
-from curveinv import documents, errors, fixtures
+from curveinv import cli, documents, errors, fixtures
 from curveinv.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -325,6 +325,27 @@ def test_uncertifiable_tail_bound_exits_3(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["torsion", "table", "--n", "40"],
+        ["weights", "--n", "12"],
+        ["weights", "--n", "11", "--max-class", "1"],
+    ],
+)
+def test_oversized_tables_exit_2_before_building(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized table was built")
+
+    monkeypatch.setattr(cli, "torsion_invariant", refuse)
+    monkeypatch.setattr(cli, "weight_table", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(cli.MAX_ROWS) in captured.err
 
 
 def test_theta_command(capsys):

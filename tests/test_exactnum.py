@@ -9,23 +9,27 @@ from hypothesis import strategies as st
 from curveinv import _poly
 from curveinv.exactnum import (
     Jet,
-    JetMatrix,
     LaurentJet,
     LaurentMatrix,
     NotAUnit,
     SingularToKnownOrder,
     jet_det,
     jet_inverse,
-    jet_mul,
     laurent_matrix_inverse,
     vanishing_order,
 )
 
 F = Fraction
+T, ONE, ZERO = (0, 1), (1,), ()
 
 
 def jet(*coeffs):
     return Jet(tuple(F(c) for c in coeffs))
+
+
+def pmat(*rows):
+    """Polynomial matrix from rows of ascending coefficient lists."""
+    return [[_poly.poly(p) for p in row] for row in rows]
 
 
 # -- jet multiplication -------------------------------------------------------
@@ -46,7 +50,7 @@ def test_mul_hand_convolution():
     # (1 + 2t + 3t^2)(4 + 5t) truncated at order 2: 4 + 13t + 22t^2
     a = jet(1, 2, 3)
     b = jet(4, 5, 0)
-    assert jet_mul(a, b).coeffs == (F(4), F(13), F(22))
+    assert (a * b).coeffs == (F(4), F(13), F(22))
 
 
 def test_mul_truncates_to_min_order():
@@ -99,38 +103,22 @@ def test_order_of_constant():
 # -- jet determinants ----------------------------------------------------------
 
 
-def diag_jets(*jets):
-    n = len(jets)
-    order = min(j.known_order for j in jets)
-    grid = [
-        [jets[i].truncate(order) if i == j else Jet.zero(order) for j in range(n)]
-        for i in range(n)
-    ]
-    return JetMatrix.from_entries(grid)
-
-
 def test_det_diag():
-    m = diag_jets(Jet.variable(2), Jet.variable(2))
-    assert jet_det(m).coeffs == (F(0), F(0), F(1))
+    assert jet_det(pmat([T, ZERO], [ZERO, T]), 2).coeffs == (F(0), F(0), F(1))
 
 
 def test_det_identity():
-    m = JetMatrix.identity(3, 2)
-    assert jet_det(m).coeffs == (F(1), F(0), F(0))
+    m = pmat([ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE])
+    assert jet_det(m, 2).coeffs == (F(1), F(0), F(0))
 
 
 def test_det_jordan_block_matches_cofactor_oracle():
-    t = Jet.variable(2)
-    one = Jet.one(2)
-    zero = Jet.zero(2)
-    m = JetMatrix.from_entries([[t, one], [zero, t]])
     # cofactor oracle by hand: t*t - 1*0 = t^2
-    assert jet_det(m).coeffs == (t * t).coeffs
+    assert jet_det(pmat([T, ONE], [ZERO, T]), 2).coeffs == (F(0), F(0), F(1))
 
 
 def test_det_empty_matrix_is_one():
-    m = JetMatrix(0, ((), (), ()))
-    assert jet_det(m).coeffs == (F(1), F(0), F(0))
+    assert jet_det([], 2).coeffs == (F(1), F(0), F(0))
 
 
 def test_det_matches_sympy_berkowitz_oracle(rng):
@@ -148,15 +136,17 @@ def test_det_matches_sympy_berkowitz_oracle(rng):
         coeffs = [sympy.QQ(c[i][j].numerator, c[i][j].denominator) for c in mats]
         return ring.ring.from_list(coeffs[::-1])  # highest power first
 
+    # degrees above the order check that jet_det truncates only after the
+    # exact determinant, as the matrix of jets it stands for would
     for dim in range(7):
-        for order in (0, 2, 4):
-            mats = random_matrix_polynomial(rng, dim, order)
+        for order, degree in ((0, 0), (2, 2), (4, 4), (0, 2), (2, 3)):
+            mats = random_matrix_polynomial(rng, dim, degree)
             grid = [[entry(mats, i, j) for j in range(dim)] for i in range(dim)]
             charpoly = DomainMatrix(grid, (dim, dim), ring).charpoly()
             det = (charpoly[-1] * (-1) ** dim).to_dense()[::-1]  # lowest first
             det += [0] * (order + 1 - len(det))
             want = tuple(F(int(c.numerator), int(c.denominator)) for c in det[: order + 1])
-            assert jet_det(JetMatrix(dim, tuple(mats))).coeffs == want
+            assert jet_det(_poly.mat_lift(mats), order).coeffs == want
 
 
 # -- laurent arithmetic ---------------------------------------------------------
@@ -187,8 +177,7 @@ def test_laurent_inverse_of_zero_raises():
 
 
 def test_laurent_inverse_diag():
-    m = diag_jets(Jet.variable(2), Jet.one(2))
-    inv = laurent_matrix_inverse(m)
+    inv = laurent_matrix_inverse(pmat([T, ZERO], [ZERO, ONE]), 2)
     e = inv.entry(0, 0)
     assert e.pole_order == 1 and e.unit_part.coeffs[0] == 1
     assert inv.entry(1, 1).coefficient(0) == 1
@@ -196,8 +185,7 @@ def test_laurent_inverse_diag():
 
 
 def test_laurent_inverse_identity():
-    m = JetMatrix.identity(2, 2)
-    inv = laurent_matrix_inverse(m)
+    inv = laurent_matrix_inverse(pmat([ONE, ZERO], [ZERO, ONE]), 2)
     for i in range(2):
         for j in range(2):
             assert inv.entry(i, j).coefficient(0) == (1 if i == j else 0)
@@ -205,9 +193,7 @@ def test_laurent_inverse_identity():
 
 def test_laurent_inverse_jordan_block_adjugate_oracle():
     # [[t, 1], [0, t]]: adjugate [[t, -1], [0, t]], determinant t^2
-    t = Jet.variable(3)
-    m = JetMatrix.from_entries([[t, Jet.one(3)], [Jet.zero(3), t]])
-    inv = laurent_matrix_inverse(m)
+    inv = laurent_matrix_inverse(pmat([T, ONE], [ZERO, T]), 3)
     assert inv.entry(0, 0).leading_exponent().value == -1
     assert inv.entry(0, 1).leading_exponent().value == -2
     assert inv.entry(0, 1).coefficient(-2) == -1
@@ -220,13 +206,17 @@ def test_laurent_inverse_times_matrix_is_identity(rng):
 
     for _ in range(15):
         n = rng.randint(1, 4)
-        mats = random_matrix_polynomial(rng, n, rng.randint(1, 3))
-        m = JetMatrix(n, tuple(mats))
-        d = jet_det(m)
+        order = rng.randint(1, 3)
+        m = _poly.mat_lift(random_matrix_polynomial(rng, n, order))
+        d = jet_det(m, order)
         if not vanishing_order(d).is_finite:
             continue
-        inv = laurent_matrix_inverse(m)
-        prod = inv * LaurentMatrix.from_jet_matrix(m)
+        inv = laurent_matrix_inverse(m, order)
+        grid = tuple(
+            tuple(LaurentJet.from_jet(Jet.from_polynomial(p, order)) for p in row)
+            for row in m
+        )
+        prod = inv * LaurentMatrix(n, grid)
         for i in range(n):
             for j in range(n):
                 e = prod.entry(i, j)
@@ -237,10 +227,8 @@ def test_laurent_inverse_times_matrix_is_identity(rng):
 
 
 def test_laurent_inverse_rejects_zero_determinant():
-    z = Jet.zero(2)
-    m = JetMatrix.from_entries([[Jet.variable(2), z], [z, z]])
     with pytest.raises(SingularToKnownOrder):
-        laurent_matrix_inverse(m)
+        laurent_matrix_inverse(pmat([T, ZERO], [ZERO, ZERO]), 2)
 
 
 # -- algebra laws (property tests) -----------------------------------------------
@@ -316,16 +304,16 @@ def test_capped_mul_is_truncated_product(coeffs, data):
 def test_det_multiplicative(order, data):
     n = data.draw(st.integers(1, 3))
     def draw_matrix():
-        grid = [
+        return [
             [
-                Jet(tuple(data.draw(st.lists(small_fracs, min_size=order + 1,
-                                             max_size=order + 1))))
+                _poly.poly(data.draw(st.lists(small_fracs, min_size=order + 1,
+                                              max_size=order + 1)))
                 for _ in range(n)
             ]
             for _ in range(n)
         ]
-        return JetMatrix.from_entries(grid)
 
     a = draw_matrix()
     b = draw_matrix()
-    assert jet_det(a * b).agrees_with(jet_det(a) * jet_det(b))
+    product = _poly.mat_mul(a, b, order + 1)
+    assert jet_det(product, order).agrees_with(jet_det(a, order) * jet_det(b, order))

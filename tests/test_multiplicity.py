@@ -113,13 +113,13 @@ def test_schur_rejects_pair_for_other_matrix():
 def test_schur_scalar_curve():
     c = MatrixCurveJet(1, F(0), (mat([[0]]), mat([[1]])))
     s = schur_operator(c)
-    assert s.dim == 1
-    assert s.entry(0, 0).coeffs[:2] == (F(0), F(1))
+    assert len(s) == 1 and len(s[0]) == 1
+    assert s[0][0].coeffs[:2] == (F(0), F(1))
 
 
 def test_schur_np_curve_has_order_one():
     s = schur_operator(fixtures.normalization_curve())
-    o = vanishing_order(s.entry(0, 0))
+    o = vanishing_order(s[0][0])
     assert o.is_finite and o.value == 1
 
 
@@ -399,6 +399,18 @@ def test_product_formula(rng):
         b = MatrixCurveJet(n, a.base_point, b.coefficients)
         prod = pointwise_product(a, b)
         assert multiplicity_det(prod).value == va + vb
+
+
+def test_pointwise_product_keeps_vanishing_top_coefficient():
+    # the degree-1 coefficients multiply to zero, so the product's degree-2
+    # coefficient vanishes, and the product still has degree 1 + 1
+    a = curve(2, [[1, 0], [0, 1]], [[1, 0], [0, 0]])
+    b = curve(2, [[1, 0], [0, 1]], [[0, 0], [0, 1]])
+    prod = pointwise_product(a, b)
+    assert prod.degree == 2
+    assert prod.coefficients == (I2, I2, _linalg.zeros(2, 2))
+    for lam in (F(-1), F(1, 3), F(2)):
+        assert prod.evaluate(lam) == _linalg.matmul(a.evaluate(lam), b.evaluate(lam))
 
 
 def test_normalization_over_random_rank_one_projections(rng):

@@ -341,11 +341,17 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
     chains = []
     build = _poly.sturm_chain
     monkeypatch.setattr(_poly, "sturm_chain", lambda p: chains.append(p) or build(p))
+    # p is evaluated once per point, its value shared by the root test and
+    # the chain's sign sequence
+    points = []
+    evaluate = _poly.eval_at
+    monkeypatch.setattr(_poly, "eval_at", lambda q, x: points.append((q, x)) or evaluate(q, x))
     # exact roots 0 and +-1/2 fall on bisection midpoints of (-1, 1), and
     # +-sqrt(2/3) sit in the intervals they split off
     p = _poly.poly((0, F(1, 6), 0, F(-11, 12), 0, 1))  # x (x^2 - 1/4) (x^2 - 2/3)
     locations = _poly.isolate_roots(p, F(-1), F(1))
     assert len(chains) == 1
+    assert points and len(set(points)) == len(points)
     assert [r.exact for r in locations] == [None, F(-1, 2), F(0), F(1, 2), None]
     for r, sign in ((locations[0], -1), (locations[-1], 1)):
         assert r.lo < sign * F(2, 3) ** 0.5 < r.hi

@@ -136,6 +136,24 @@ def test_weight_table_matches_pointwise_weights():
     assert len(table.entries) == 9
 
 
+def test_huge_cutoff_stops_at_the_first_vanishing_term(monkeypatch):
+    # every term past the first one that underflows to 0.0 is 0.0 as well
+    torus, zeta = FlatTorus(1), Z2Homomorphism((-1,))
+    want = torsion_invariant(torus, zeta)
+    calls = []
+    exp = math.exp
+
+    def bounded_exp(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise AssertionError("the lattice sums ran past their underflow")
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", bounded_exp)
+    report = torsion_invariant(torus, zeta, cutoff=10**8)
+    assert report.value == want.value
+
+
 def test_weight_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
         wiener_weight(FlatTorus(1), (13,), cutoff=12)
@@ -235,6 +253,10 @@ def test_contribution_table_is_unit_box():
     assert 0 < total_weight < 1.0 + 1e-12
     for c in report.contributions:
         assert c.sign == intersection_sign(Z2Homomorphism((-1, 1)), c.deck_class)
+    # beyond eight generators the 3^n box is not built, and says so
+    report = torsion_invariant(FlatTorus(9), Z2Homomorphism((-1,) + (1,) * 8))
+    assert report.contributions is None
+    assert abs(report.value - Q) < 1e-12
 
 
 def test_general_period_still_normalizes():
