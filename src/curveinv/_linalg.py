@@ -8,6 +8,7 @@ fixed direction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -165,31 +166,36 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
+    """Determinant by fraction-free Bareiss elimination over Z.
+
+    Each row is scaled to integers; every elimination step divides exactly
+    by the previous pivot, and the row scales are divided out once.
+    """
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in a]
+    rows = []
+    scale = 1
+    for row in a:
+        d = math.lcm(*[c.denominator for c in row])
+        rows.append([c.numerator * (d // c.denominator) for c in row])
+        scale *= d
     sign = 1
-    acc = Fraction(1)
+    prev = 1
     for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if rows[i][k] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
-        p = rows[k][k]
-        acc *= p
+        p, top = rows[k][k], rows[k]
         for i in range(k + 1, n):
-            if rows[i][k] != 0:
-                f = rows[i][k] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return acc * sign
+            r, f = rows[i], rows[i][k]
+            for j in range(k + 1, n):
+                r[j] = (r[j] * p - f * top[j]) // prev
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -7,6 +7,11 @@ zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
 ``neg``, ``mul``, ``mat_mul``) never coerce, so integer inputs give integer
 results; ``poly`` is the coercing constructor for inputs.  All operations
 are exact, no floating point anywhere.
+
+Tuples of coefficients are built from lists, not generators: CPython
+grows a tuple fed by a generator by repeated resizing, and with big-int
+coefficients that alone raised the peak memory of a long root isolation
+run by several MB.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ def add(a: Poly, b: Poly) -> Poly:
 
 
 def neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def sub(a: Poly, b: Poly) -> Poly:
@@ -76,7 +81,7 @@ def scale(a: Poly, c) -> Poly:
     c = Fraction(c)
     if c == 0:
         return ZERO
-    return tuple(x * c for x in a)
+    return tuple([x * c for x in a])
 
 
 def mul(a: Poly, b: Poly, cap: int | None = None) -> Poly:
@@ -99,10 +104,19 @@ def mul(a: Poly, b: Poly, cap: int | None = None) -> Poly:
 
 
 def eval_at(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p(x) at a rational x = n/d, by homogeneous Horner.
+
+    The loop builds sum c_i n^i d^(deg-i), which stays in the coefficients'
+    ring (plain ints for an integer p), and divides by d^deg once.
+    """
+    if not p:
+        return Fraction(0)
+    n, d = x.numerator, x.denominator
+    acc, dk = p[-1], 1
+    for c in p[-2::-1]:
+        dk *= d
+        acc = acc * n + c * dk
+    return Fraction(acc, dk)
 
 
 def derivative(p: Poly) -> Poly:
@@ -195,15 +209,28 @@ def squarefree_decomposition(p: Poly):
 # Sturm chains and exact root isolation
 
 
+def _primitive(p: Poly) -> Poly:
+    """The positive multiple of p with coprime integer coefficients."""
+    d = math.lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return tuple([c // g for c in ints])
+
+
 def sturm_chain(p: Poly):
-    chain = [p, derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
+    """Sturm sequence of p, every member a primitive integer polynomial.
+
+    Positive rescaling keeps the sign sequence, so each member is the
+    positive multiple of the classical one with coprime int coefficients.
+    """
+    chain = [_primitive(p), _primitive(derivative(p))]
+    while degree(chain[-1]) > 0:
         rem = divmod_poly(chain[-2], chain[-1])[1]
         if is_zero(rem):
             break
-        # positive rescaling keeps the sign sequence intact and coefficients small
-        chain.append(scale(neg(rem), 1 / abs(rem[-1])))
-    return [c for c in chain if not is_zero(c)]
+        chain.append(_primitive(neg(rem)))
+    # only p' can be zero (p constant); a zero p stays, and reads 0 everywhere
+    return chain if chain[-1] else chain[:-1]
 
 
 def _variations(chain, x, px) -> int:
@@ -219,10 +246,11 @@ def _variations(chain, x, px) -> int:
 def count_roots_open(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b); requires p(a), p(b) != 0."""
     a, b = Fraction(a), Fraction(b)
-    pa, pb = eval_at(p, a), eval_at(p, b)
+    chain = sturm_chain(p)
+    # chain[0] is a positive multiple of p: the same signs and zeros
+    pa, pb = eval_at(chain[0], a), eval_at(chain[0], b)
     if pa == 0 or pb == 0:
         raise ValueError("Sturm endpoints must not be roots")
-    chain = sturm_chain(p)
     return _variations(chain, a, pa) - _variations(chain, b, pb)
 
 
@@ -262,10 +290,11 @@ def isolate_roots(p: Poly, a, b):
     are isolated.  Sorted by position.
     """
     a, b = Fraction(a), Fraction(b)
-    pa, pb = eval_at(p, a), eval_at(p, b)
+    chain = sturm_chain(p)
+    # chain[0] is a positive multiple of p: the same signs and zeros
+    pa, pb = eval_at(chain[0], a), eval_at(chain[0], b)
     if pa == 0 or pb == 0:
         raise ValueError("isolation endpoints must not be roots")
-    chain = sturm_chain(p)
     roots = []
     # (lo, hi, vlo, vhi, steps): vlo - vhi roots lie in the open (lo, hi),
     # which has been halved ``steps`` times since it held a single root
@@ -276,7 +305,7 @@ def isolate_roots(p: Poly, a, b):
         if count == 0:
             continue
         mid = (lo + hi) / 2
-        pmid = eval_at(p, mid)
+        pmid = eval_at(chain[0], mid)
         if pmid == 0:
             roots.append(RootLocation(lo=mid, hi=mid, exact=mid))
             if count > 1:
@@ -314,7 +343,7 @@ def mat_coefficients(m: PolyMatrix) -> tuple:
     through its degree (the zero matrix keeps one coefficient)."""
     top = max((len(p) for row in m for p in row), default=0)
     return tuple(
-        tuple(tuple(p[k] if k < len(p) else Fraction(0) for p in row) for row in m)
+        tuple(tuple([p[k] if k < len(p) else Fraction(0) for p in row]) for row in m)
         for k in range(max(top, 1))
     )
 
@@ -377,7 +406,7 @@ def _common_denominator(m: PolyMatrix) -> int:
 
 def _to_int_polys(m: PolyMatrix, d: int):
     return [
-        [tuple(c.numerator * (d // c.denominator) for c in p) for p in row]
+        [tuple([c.numerator * (d // c.denominator) for c in p]) for p in row]
         for row in m
     ]
 
@@ -430,7 +459,7 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
             tr = add(tr, am[i][i])
         # trace coefficients are divisible by k: they are (up to sign) the
         # characteristic polynomial coefficients of an integer matrix
-        c = tuple(-x // k for x in tr)
+        c = tuple([-x // k for x in tr])
         if k < n:
             acc = [
                 [add(am[i][j], c) if i == j else am[i][j] for j in range(n)]

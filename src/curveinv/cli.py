@@ -65,11 +65,13 @@ EXIT_INTERNAL = 4
 # (2*max_class + 1)^n rows)
 MAX_ROWS = 100_000
 
+# each route is looked up in this module's globals when it is called, so a
+# wrapper installed on ``cli.multiplicity_det`` (a tracer, a spy) sees it
 _ROUTES = {
-    "ord-det": multiplicity_det,
-    "schur": multiplicity_schur,
-    "laurent": multiplicity_laurent,
-    "transversal": multiplicity_transversal,
+    "ord-det": lambda curve: multiplicity_det(curve),
+    "schur": lambda curve: multiplicity_schur(curve),
+    "laurent": lambda curve: multiplicity_laurent(curve),
+    "transversal": lambda curve: multiplicity_transversal(curve),
 }
 
 

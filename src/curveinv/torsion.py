@@ -18,7 +18,8 @@ inputs give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -94,7 +95,13 @@ def _signed_gaussian_sum(decay: float, alternating: bool, cutoff: int) -> float:
 
 
 def _gaussian_tail(decay: float, cutoff: int) -> float:
-    """Rigorous bound on the omitted |m| > cutoff terms (geometric bound)."""
+    """Rigorous bound on the omitted |m| > cutoff terms (geometric bound).
+
+    A cutoff beyond 10**150 is bounded as 10**150: the tail past a smaller
+    cutoff bounds the tail past a larger one, and (10**150)**2 still
+    converts to a float.
+    """
+    cutoff = min(cutoff, 10**150)
     head = 2.0 * math.exp(-decay * (cutoff + 1) ** 2)
     ratio = math.exp(-decay * (2 * cutoff + 3))
     if ratio >= 1.0:
@@ -276,15 +283,21 @@ class TorsionReport:
     The value always lies in [-1, 1]; it equals 1 exactly when every
     generator sign is +1 (computed symbolically, no truncation at all).
     ``contributions`` lists the signed weights of the 3^n deck classes in
-    the unit box, for inspection; it is None for n > 8, where the box is
-    not built.
+    the unit box, for inspection; it is built on first access, and is None
+    for n > 8, where the box is not built.
     """
 
     value: float
     cutoff: int
     error_bound: float
     signs: tuple
-    contributions: tuple | None
+    torus: FlatTorus = field(compare=False, repr=False)
+
+    @cached_property
+    def contributions(self) -> tuple | None:
+        return _unit_box_contributions(
+            self.torus, Z2Homomorphism(self.signs), self.cutoff
+        )
 
     def __str__(self) -> str:
         return f"{self.value!r} (+/- {self.error_bound:.3e})"
@@ -300,23 +313,24 @@ def torsion_invariant(
     The sum over the deck group separates into one factor per coordinate:
     a trivial generator contributes 1, a twisted one the quotient of the
     alternating by the plain Gaussian sum.  The error bound follows the
-    truncation tails through the quotient and the product.
+    truncation tails through the quotient and the product.  A period whose
+    tail cannot be certified is refused for every class, the trivial one
+    included.
     """
     if zeta.n != torus.n:
         raise ValueError("homomorphism rank must match the torus dimension")
     if cutoff < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
-    contributions = _unit_box_contributions(torus, zeta, cutoff)
+    c = torus.decay
+    plain, tail = _certified_plain_sum(c, cutoff)
     if zeta.is_trivial():
         return TorsionReport(
             value=1.0,
             cutoff=cutoff,
             error_bound=0.0,
             signs=zeta.signs,
-            contributions=contributions,
+            torus=torus,
         )
-    c = torus.decay
-    plain, tail = _certified_plain_sum(c, cutoff)
     alt = _signed_gaussian_sum(c, True, cutoff)
     ratio = alt / plain
     # |true ratio - ratio| <= tail*(plain + |alt|) / (plain*(plain - tail))
@@ -334,7 +348,7 @@ def torsion_invariant(
         cutoff=cutoff,
         error_bound=error,
         signs=zeta.signs,
-        contributions=contributions,
+        torus=torus,
     )
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import curve_with_known_multiplicity
-from curveinv import cli, documents, errors, fixtures
+from curveinv import cli, documents, errors, fixtures, torsion
 from curveinv.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -125,6 +125,19 @@ def test_chi_transversal_only_exits_3_when_not_transversal(capsys):
         ["chi", "--curve", fx("nilpotent_shift.json"), "--method", "transversal"]
     )
     assert code == 3
+
+
+def test_chi_route_is_looked_up_when_called(monkeypatch, capsys):
+    # a wrapper installed on the cli module's name (a tracer, a spy) sees
+    # the route call
+    calls = []
+    route = cli.multiplicity_det
+    monkeypatch.setattr(
+        cli, "multiplicity_det", lambda curve: calls.append(curve) or route(curve)
+    )
+    code = main(["chi", "--curve", fx("nilpotent_shift.json"), "--method", "ord-det"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_chi_missing_file_exits_2(capsys):
@@ -317,6 +330,7 @@ def test_nonfinite_or_nonpositive_torus_flags_exit_2(argv, capsys):
         ["torsion", "--n", "1", "--signs=-1", "--period", "0.05"],
         ["weights", "--n", "1", "--period", "0.05"],
         ["torsion", "--n", "1", "--signs=1", "--period", "0.05"],
+        ["orientable", "--n", "9", "--signs", ",".join(["1"] * 9), "--period", "0.05"],
     ],
 )
 def test_uncertifiable_tail_bound_exits_3(argv, capsys):
@@ -325,6 +339,29 @@ def test_uncertifiable_tail_bound_exits_3(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
+HUGE_CUTOFF = "1" + "0" * 200
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["theta"], "tail_bound"),
+        (["torsion", "--n", "1", "--signs=-1"], "error_bound"),
+        (["weights", "--n", "1"], "tail_bound"),
+    ],
+)
+def test_huge_cutoff_reports_the_default_cutoffs_value(argv, bound, tmp_path, capsys):
+    # (cutoff + 1)**2 is too large for a float past about 1.3e154; the tail
+    # is bounded at a smaller cutoff, which still bounds it
+    default, huge = tmp_path / "default.json", tmp_path / "huge.json"
+    assert main([*argv, "--json", str(default)]) == 0
+    assert main([*argv, "--cutoff", HUGE_CUTOFF, "--json", str(huge)]) == 0
+    want, got = json.loads(default.read_text()), json.loads(huge.read_text())
+    assert got.pop("cutoff") == int(HUGE_CUTOFF) and want.pop("cutoff") == 12
+    assert 0.0 <= got.pop(bound) <= want.pop(bound)
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -346,6 +383,19 @@ def test_oversized_tables_exit_2_before_building(argv, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(cli.MAX_ROWS) in captured.err
+
+
+def test_torsion_table_builds_no_unit_box(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table built unit-box contributions")
+
+    monkeypatch.setattr(torsion, "_unit_box_contributions", refuse)
+    out = tmp_path / "table.json"
+    assert main(["torsion", "table", "--n", "8", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 256
+    for row in rows:
+        assert abs(row["value"] - 2.0 ** (-row["signs"].count(-1) / 4)) < 1e-12
 
 
 def test_theta_command(capsys):
@@ -397,10 +447,16 @@ def test_console_entry_point_runs():
     import subprocess
     import sys
 
+    import curveinv
+
+    # the child finds the package where this process found it, installed or not
+    package_root = os.path.dirname(os.path.dirname(curveinv.__file__))
+    path = [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "curveinv.cli", "theta", "--cutoff", "12"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0
     assert "1.086434811213" in proc.stdout

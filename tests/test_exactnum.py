@@ -317,3 +317,23 @@ def test_det_multiplicative(order, data):
     b = draw_matrix()
     product = _poly.mat_mul(a, b, order + 1)
     assert jet_det(product, order).agrees_with(jet_det(a, order) * jet_det(b, order))
+
+
+@pytest.mark.parametrize(
+    "coeffs", [st.integers(-9, 9), small_fracs], ids=["int", "fraction"]
+)
+@given(data=st.data())
+def test_eval_at_is_rational_horner(coeffs, data):
+    p = tuple(data.draw(st.lists(coeffs, max_size=8)))
+    x = data.draw(
+        st.one_of(
+            st.just(F(0)),
+            st.integers(-7, 7).map(F),  # denominator 1
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        )
+    )
+    want = F(0)
+    for c in reversed(p):
+        want = want * x + c
+    got = _poly.eval_at(p, x)
+    assert type(got) is F and got == want

@@ -356,3 +356,91 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
     for r, sign in ((locations[0], -1), (locations[-1], 1)):
         assert r.lo < sign * F(2, 3) ** 0.5 < r.hi
         assert r.hi - r.lo == F(1, 2**17)
+
+
+def test_sturm_chain_is_primitive_classical_sequence(rng):
+    from math import gcd
+
+    from curveinv import _poly
+
+    def remainder(a, b):
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[len(r) - len(b) + i] -= f * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        return r
+
+    def classical(p):
+        """p, p', then -rem(p_{k-1}, p_k) until the remainder vanishes."""
+        seq = [list(p), [i * c for i, c in enumerate(p)][1:]]
+        while len(seq[-1]) > 1:
+            r = remainder(seq[-2], seq[-1])
+            if not r:
+                break
+            seq.append([-c for c in r])
+        return [q for q in seq if q]
+
+    polys = [_poly.poly((3,)), _poly.poly((0, 1)), _poly.poly((F(1, 2), 0, F(-7, 3)))]
+    while len(polys) < 40:
+        p = _poly.poly(
+            F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))
+        )
+        if p and rng.random() < 0.3:
+            p = _poly.mul(p, p)
+        if p:
+            polys.append(p)
+    for p in polys:
+        chain = _poly.sturm_chain(p)
+        want = classical(p)
+        assert len(chain) == len(want)
+        for member, q in zip(chain, want):
+            assert all(type(c) is int for c in member)
+            assert gcd(*member) == 1
+            assert len(member) == len(q)
+            ratio = F(member[-1]) / q[-1]
+            assert ratio > 0
+            assert all(F(m) == ratio * c for m, c in zip(member, q))
+
+
+def test_endpoint_det_matches_sympy(rng):
+    import sympy
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def draw(n):
+        return [
+            [F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
+            for _ in range(n)
+        ]
+
+    cases = []
+    for n in range(8):
+        cases.append(draw(n))
+        if n >= 2:
+            singular = draw(n)  # last row a combination of two others
+            singular[-1] = [
+                F(2, 3) * x - y for x, y in zip(singular[0], singular[1])
+            ]
+            cases.append(singular)
+            zero_row = draw(n)
+            zero_row[rng.randrange(n)] = [F(0)] * n
+            cases.append(zero_row)
+            swap = draw(n)  # the first pivot is zero, a lower row supplies it
+            swap[0][0] = F(0)
+            cases.append(swap)
+        if n >= 3:
+            # leading 2x2 minor singular: the second pivot needs a swap
+            late = draw(n)
+            late[1] = [F(5, 2) * x for x in late[0]]
+            late[1][n - 1] += 1
+            cases.append(late)
+    for m in cases:
+        want = sympy.Matrix(len(m), len(m), [rational(c) for row in m for c in row])
+        got = _linalg.det(_linalg.freeze(m))
+        assert type(got) is F
+        assert rational(got) == want.det()

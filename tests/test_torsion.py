@@ -6,7 +6,7 @@ from itertools import product
 import mpmath
 import pytest
 
-from curveinv import fixtures
+from curveinv import fixtures, torsion
 from curveinv.torsion import (
     CutoffTooSmall,
     FlatTorus,
@@ -224,6 +224,34 @@ def test_value_sets_up_to_three():
         assert len(values) == n + 1
         for got, want in zip(values, expected):
             assert abs(got - want) < 1e-12
+
+
+def test_value_set_builds_no_unit_box(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the value set built unit-box contributions")
+
+    monkeypatch.setattr(torsion, "_unit_box_contributions", refuse)
+    values = torsion_value_set(FlatTorus(8))
+    assert len(values) == 9
+    for m, v in enumerate(values):
+        assert abs(v - Q**m) < 1e-12
+
+
+def test_unit_box_is_built_on_first_read(monkeypatch):
+    built = []
+    real = torsion._unit_box_contributions
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(torsion, "_unit_box_contributions", spy)
+    report = torsion_invariant(FlatTorus(8), Z2Homomorphism((-1,) + (1,) * 7))
+    assert is_orientable(Z2Homomorphism((1,) * 8)).orientable
+    assert built == []
+    assert len(report.contributions) == 3**8
+    assert report.contributions is report.contributions
+    assert len(built) == 1
 
 
 def test_torsion_value_in_unit_interval():
