@@ -136,22 +136,17 @@ def extend_to_basis(cols: Sequence[Sequence[Fraction]], n: int, reverse: bool = 
     """Complete independent columns to a basis of Q^n with standard vectors.
 
     Scans e_0, e_1, ... (or the reverse) and keeps each vector that raises
-    the rank.  Returns the list of appended standard vectors.
+    the rank: those are the pivot columns of ``cols`` followed by the scan,
+    read off one row reduction.  Returns the list of appended standard
+    vectors.
     """
-    current = list(cols)
-    appended = []
+    k = len(cols)
     order = range(n - 1, -1, -1) if reverse else range(n)
-    for i in order:
-        if len(current) == n:
-            break
-        e = tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-        candidate = current + [e]
-        if rank(hstack(candidate, n)) == len(candidate):
-            current.append(e)
-            appended.append(e)
-    if len(current) != n:
+    scan = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in order]
+    pivots = rref(hstack(list(cols) + scan, n))[1]
+    if pivots[:k] != list(range(k)):
         raise ArithmeticError("failed to extend to a basis")
-    return appended
+    return [scan[j - k] for j in pivots[k:]]
 
 
 def inverse(a: Matrix) -> Matrix:

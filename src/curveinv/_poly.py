@@ -4,8 +4,12 @@ Internal plumbing shared by the jet ring, the multiplicity routes and the
 root isolation code.  A polynomial is a tuple of coefficients indexed by
 power, each an ``int`` or a ``Fraction``, with trailing zeros stripped; the
 zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
-``neg``, ``mul``, ``mat_mul``) never coerce, so integer inputs give integer
-results; ``poly`` is the coercing constructor for inputs.  All operations
+``neg``, ``mul``, ``derivative``, ``mat_mul``) serve both coefficient
+rings and never coerce, so integer inputs give integer results; ``poly`` is
+the coercing constructor for inputs.  The Euclidean kernels (``gcd``,
+``div_exact``, ``squarefree_decomposition``, ``sturm_chain``) run over Z on
+primitive polynomials: a rational polynomial enters through ``primitive``,
+its positive multiple with coprime integer coefficients.  All operations
 are exact, no floating point anywhere.
 
 Tuples of coefficients are built from lists, not generators: CPython
@@ -25,7 +29,6 @@ Poly = tuple  # tuple[int | Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
 
 # halvings of each isolating interval, so the reported bracket is readable
 REFINE_STEPS = 16
@@ -77,13 +80,6 @@ def sub(a: Poly, b: Poly) -> Poly:
     return add(a, neg(b))
 
 
-def scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return tuple([x * c for x in a])
-
-
 def mul(a: Poly, b: Poly, cap: int | None = None) -> Poly:
     """Product; with ``cap``, only its coefficients below x^cap.
 
@@ -120,48 +116,68 @@ def eval_at(p: Poly, x) -> Fraction:
 
 
 def derivative(p: Poly) -> Poly:
-    return poly(c * i for i, c in enumerate(p) if i > 0)
+    return _trim([i * p[i] for i in range(1, len(p))])
 
 
-def divmod_poly(a: Poly, b: Poly):
-    """Euclidean division over the rationals; returns (quotient, remainder)."""
+def primitive(p: Poly) -> Poly:
+    """The positive multiple of p with coprime integer coefficients."""
+    d = math.lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return tuple([c // g for c in ints])
+
+
+def div_exact(a: Poly, b: Poly) -> Poly:
+    """The quotient a / b in Z[x]; ArithmeticError unless b divides a there."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lc = Fraction(1) / b[-1]
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    lc = b[-1]
+    while r:
         k = len(r) - len(b)
-        f = r[-1] * inv_lc
+        f, m = divmod(r[-1], lc)
+        if k < 0 or m:
+            raise ArithmeticError("polynomial division was expected to be exact")
         q[k] = f
         for i, c in enumerate(b):
             r[k + i] -= f * c
         r.pop()
-    return poly(q), poly(r)
+        while r and r[-1] == 0:
+            r.pop()
+    return _trim(q)
 
 
-def div_exact(a: Poly, b: Poly) -> Poly:
-    q, r = divmod_poly(a, b)
-    if not is_zero(r):
-        raise ArithmeticError("polynomial division was expected to be exact")
-    return q
+def _rem(a: Poly, b: Poly) -> Poly:
+    """The primitive positive multiple of the remainder of a by b, over Z.
 
-
-def monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    return scale(p, Fraction(1) / p[-1])
+    Each step scales the running remainder by |lc(b)| and subtracts
+    sign(lc b) * top * x^k * b: a positive multiple of the rational step,
+    so the remainder keeps its sign and every coefficient stays an integer.
+    """
+    r = list(a)
+    lc = b[-1]
+    s, m = (1, lc) if lc > 0 else (-1, -lc)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        f = s * r[-1]
+        if m != 1:
+            r = [c * m for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return primitive(r)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    while not is_zero(b):
-        a, b = b, divmod_poly(a, b)[1]
-    return monic(a)
+    """Greatest common divisor by the primitive remainder sequence: a
+    primitive int polynomial with a positive leading coefficient."""
+    while b:
+        a, b = b, _rem(a, b)
+    a = primitive(a)
+    return neg(a) if a and a[-1] < 0 else a
 
 
 def compose_affine(p: Poly, c, s) -> Poly:
@@ -174,47 +190,35 @@ def compose_affine(p: Poly, c, s) -> Poly:
 
 
 def squarefree_decomposition(p: Poly):
-    """Yun decomposition of a nonzero polynomial.
+    """Yun decomposition of a nonzero polynomial, over Z.
 
-    Returns ``(lc, [(g, m), ...])`` with ``p = lc * prod g^m``, the ``g``
-    monic, square-free, pairwise coprime and nonconstant, ``m`` ascending.
+    Returns ``[(g, m), ...]`` with ``p`` a constant multiple of
+    ``prod g^m``, the ``g`` primitive with positive leading coefficients,
+    square-free, pairwise coprime and nonconstant, ``m`` ascending.  By
+    Gauss's lemma every division by a primitive gcd is exact over Z, and
+    ``w`` and ``y`` are divided by the same ``a``, so the recurrence needs
+    no monic normalization.
     """
     if is_zero(p):
         raise ZeroDivisionError("square-free decomposition of zero")
-    lc = p[-1]
-    p = monic(p)
-    if degree(p) == 0:
-        return lc, []
+    p = primitive(p)
     dp = derivative(p)
-    g = gcd(p, dp)
+    a = gcd(p, dp)
+    w, y = div_exact(p, a), div_exact(dp, a)
     factors = []
-    if degree(g) == 0:
-        return lc, [(p, 1)]
-    w = div_exact(p, g)
-    y = div_exact(dp, g)
-    z = sub(y, derivative(w))
     i = 1
     while degree(w) > 0:
+        z = sub(y, derivative(w))
         a = gcd(w, z)
         if degree(a) > 0:
             factors.append((a, i))
-        w = div_exact(w, a)
-        y = div_exact(z, a)
-        z = sub(y, derivative(w))
+        w, y = div_exact(w, a), div_exact(z, a)
         i += 1
-    return lc, factors
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains and exact root isolation
-
-
-def _primitive(p: Poly) -> Poly:
-    """The positive multiple of p with coprime integer coefficients."""
-    d = math.lcm(*[c.denominator for c in p])
-    ints = [c.numerator * (d // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    return tuple([c // g for c in ints])
 
 
 def sturm_chain(p: Poly):
@@ -223,12 +227,12 @@ def sturm_chain(p: Poly):
     Positive rescaling keeps the sign sequence, so each member is the
     positive multiple of the classical one with coprime int coefficients.
     """
-    chain = [_primitive(p), _primitive(derivative(p))]
+    chain = [primitive(p), primitive(derivative(p))]
     while degree(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+        rem = _rem(chain[-2], chain[-1])
         if is_zero(rem):
             break
-        chain.append(_primitive(neg(rem)))
+        chain.append(neg(rem))
     # only p' can be zero (p constant); a zero p stays, and reads 0 everywhere
     return chain if chain[-1] else chain[:-1]
 
@@ -372,8 +376,7 @@ def mat_det_bareiss(m: PolyMatrix) -> Poly:
     n = len(m)
     if n == 0:
         return ONE
-    d = _common_denominator(m)
-    a = _to_int_polys(m, d)
+    a, d = _to_int_matrix(m)
     sign = 1
     prev = (1,)
     for k in range(n - 1):
@@ -388,50 +391,21 @@ def mat_det_bareiss(m: PolyMatrix) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
-                a[i][j] = _int_div_exact(num, prev)
+                a[i][j] = div_exact(num, prev)
             a[i][k] = ()
         prev = a[k][k]
     out = a[n - 1][n - 1]
     return poly(Fraction(sign * x, d**n) for x in out)
 
 
-def _common_denominator(m: PolyMatrix) -> int:
-    d = 1
-    for row in m:
-        for p in row:
-            for c in p:
-                d = math.lcm(d, c.denominator)
-    return d
-
-
-def _to_int_polys(m: PolyMatrix, d: int):
+def _to_int_matrix(m: PolyMatrix):
+    """``(m * d, d)``: m scaled to integer coefficients by d, the least
+    common denominator of its coefficients."""
+    d = math.lcm(*[c.denominator for row in m for p in row for c in p])
     return [
         [tuple([c.numerator * (d // c.denominator) for c in p]) for p in row]
         for row in m
-    ]
-
-
-def _int_div_exact(a, b):
-    """Exact division in Z[x]; the caller guarantees divisibility."""
-    if not a:
-        return ()
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    blc = b[-1]
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] // blc
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-        r.pop()
-    if any(c != 0 for c in r):
-        raise ArithmeticError("integer polynomial division was not exact")
-    return _trim(q)
+    ], d
 
 
 def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
@@ -448,8 +422,7 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
     n = len(m)
     if n == 0:
         return [], ONE
-    d = _common_denominator(m)
-    im = _to_int_polys(m, d)
+    im, d = _to_int_matrix(m)
     acc = [[(1,) if i == j else () for j in range(n)] for i in range(n)]  # M_1 = I
     c = (1,)
     for k in range(1, n + 1):

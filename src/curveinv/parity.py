@@ -5,8 +5,8 @@ the sign of its determinant and a GL-valued parametrix has a constant
 determinant sign, so the parity of an admissible path collapses to the
 product of its endpoint determinant signs.  That reduction is the
 foundation of this module; the crossing-count and multiplicity-sum
-formulations are computed independently (exact Sturm isolation over Q,
-square-free factor multiplicities) and must agree with it.
+formulations are computed independently (exact Sturm isolation over the
+integers, square-free factor multiplicities) and must agree with it.
 
 Closed curves are modeled as cyclic sequences of admissible polynomial
 segments and symbolic GL connectors.  A connector abstracts a path inside
@@ -226,7 +226,7 @@ def crossing_parity(path: PolynomialPath) -> ParityValue:
     multiplicity_sum_parity.
     """
     path.ensure_admissible()
-    det = path.determinant_polynomial()
+    det = _poly.primitive(path.determinant_polynomial())
     common = _poly.gcd(det, _poly.derivative(det))
     if _poly.count_roots_open(common, path.a, path.b) > 0:
         raise NonTransversalCrossing(
@@ -245,7 +245,7 @@ def multiplicity_sum_parity(path: PolynomialPath) -> ParityValue:
     """
     path.ensure_admissible()
     det = path.determinant_polynomial()
-    _, factors = _poly.squarefree_decomposition(det)
+    factors = _poly.squarefree_decomposition(det)
     crossings = []
     total = 0
     for factor, mult in factors:

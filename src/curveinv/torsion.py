@@ -126,6 +126,18 @@ def _certified_plain_sum(decay: float, cutoff: int) -> tuple:
     return plain, tail
 
 
+def _torus_sum(plain: float, torus: FlatTorus) -> float:
+    """plain ** n, the truncated lattice sum of the n-torus (it factors by
+    coordinate); refused when it overflows a float."""
+    try:
+        return plain**torus.n
+    except OverflowError:
+        raise PreconditionError(
+            f"the lattice sum of the {torus.n}-torus at period {torus.period!r} "
+            "overflows a float"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ThetaSum:
     value: float
@@ -218,7 +230,7 @@ def wiener_weight(
         )
     c = torus.decay
     plain, _ = _certified_plain_sum(c, cutoff)
-    return math.exp(-c * sum(m * m for m in word)) / plain**torus.n
+    return math.exp(-c * sum(m * m for m in word)) / _torus_sum(plain, torus)
 
 
 @dataclass(frozen=True)
@@ -253,13 +265,11 @@ def weight_table(
         product(range(-max_class, max_class + 1), repeat=torus.n),
         key=lambda w: (sum(m * m for m in w), w),
     )
+    power = _torus_sum(one_dim, torus)
     entries = tuple(
-        (w, math.exp(-c * sum(m * m for m in w)) / one_dim**torus.n)
-        for w in classes
+        (w, math.exp(-c * sum(m * m for m in w)) / power) for w in classes
     )
-    normalization = (4.0 * math.pi * torus.time) ** (
-        -torus.n / 2.0
-    ) * one_dim**torus.n
+    normalization = (4.0 * math.pi * torus.time) ** (-torus.n / 2.0) * power
     return WienerWeights(
         torus=torus,
         cutoff=cutoff,

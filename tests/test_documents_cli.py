@@ -341,6 +341,22 @@ def test_uncertifiable_tail_bound_exits_3(argv, capsys):
     assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--n", "9000", "--max-class", "0"],
+        ["weights", "--n", "300", "--period", "0.3", "--max-class", "0"],
+    ],
+)
+def test_overflowing_lattice_sum_exits_3(argv, capsys, tmp_path):
+    out = tmp_path / "w.json"
+    assert main([*argv, "--json", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err
+    assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
 HUGE_CUTOFF = "1" + "0" * 200
 
 

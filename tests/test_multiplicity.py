@@ -94,6 +94,17 @@ def test_projection_pair_nilpotent_block():
     validate_projection_pair(t, pair)
 
 
+def test_extend_to_basis_keeps_the_rank_raising_scan():
+    # (1, 1, 0) spans a line: forward, e1 = (1, 1, 0) - e0 adds nothing;
+    # backward, e0 = (1, 1, 0) - e1 does
+    e0, e1, e2 = _linalg.columns(_linalg.identity(3))
+    cols = [(F(1), F(1), F(0))]
+    assert _linalg.extend_to_basis(cols, 3) == [e0, e2]
+    assert _linalg.extend_to_basis(cols, 3, reverse=True) == [e2, e1]
+    with pytest.raises(ArithmeticError):
+        _linalg.extend_to_basis(cols + cols, 3)
+
+
 def test_validate_rejects_wrong_pair():
     t = mat([[0, 1], [0, 0]])
     good = projection_pair(t)

@@ -275,9 +275,11 @@ def test_reversed_path_has_same_parity(rng):
 
 
 def test_root_machinery_against_sympy_oracle(rng):
-    # independent check of the Sturm counts, the root locations and the
-    # square-free multiplicity bookkeeping that the crossing/chi-sum
-    # parities are built on
+    # independent check of the Sturm counts, the root locations, the
+    # integer gcd and the square-free multiplicity bookkeeping that the
+    # crossing/chi-sum parities are built on
+    from math import gcd
+
     import sympy
 
     from curveinv import _poly
@@ -287,10 +289,16 @@ def test_root_machinery_against_sympy_oracle(rng):
     def rational(c):
         return sympy.Rational(c.numerator, c.denominator)
 
+    def to_sympy(q):
+        return sympy.Poly(sum(rational(c) * x**i for i, c in enumerate(q)), x)
+
     def real_roots(q):
         """sympy's real roots of q in (-1, 1), repeated by multiplicity."""
-        sq = sympy.Poly(sum(rational(c) * x**i for i, c in enumerate(q)), x)
-        return [r for r in sq.real_roots() if -1 < r < 1]
+        return [r for r in to_sympy(q).real_roots() if -1 < r < 1]
+
+    def assert_primitive_positive(q):
+        assert all(type(c) is int for c in q)
+        assert gcd(*q) == 1 and q[-1] > 0
 
     def check_locations(locations, q):
         roots = set(real_roots(q))
@@ -319,20 +327,36 @@ def test_root_machinery_against_sympy_oracle(rng):
             or _poly.eval_at(p, F(1)) == 0
         ):
             polys.append(p)
+    # integer content and a negative leading coefficient
+    for k, p in zip((2, 6, 10, 3), polys[::8]):
+        q = _poly.primitive(p)
+        polys.append(_poly.mul((-k if q[-1] > 0 else k,), q))
     for p in polys:
         g = _poly.gcd(p, _poly.derivative(p))
-        squarefree = _poly.div_exact(p, g)
+        assert_primitive_positive(g)
+        sp = to_sympy(p)
+        assert to_sympy(g).monic() == sympy.gcd(sp, sp.diff(x)).monic()
+        squarefree = _poly.div_exact(_poly.primitive(p), g)
         roots = real_roots(p)
         assert _poly.count_roots_open(squarefree, F(-1), F(1)) == len(set(roots))
         check_locations(_poly.isolate_roots(squarefree, F(-1), F(1)), squarefree)
 
-        _, factors = _poly.squarefree_decomposition(p)
+        factors = _poly.squarefree_decomposition(p)
+        assert [(to_sympy(f).monic(), m) for f, m in factors] == [
+            (f.monic(), m) for f, m in sorted(sp.sqf_list()[1], key=lambda fm: fm[1])
+        ]
         total = 0
         for f, mult in factors:
+            assert_primitive_positive(f)
             locations = _poly.isolate_roots(f, F(-1), F(1))
             check_locations(locations, f)
             total += mult * len(locations)
         assert total == len(roots)
+
+    # 2 does not divide the leading 1; x^2 + 1 leaves the remainder 1 by x
+    for a, b in (((0, 0, 1), (1, 2)), ((1, 0, 1), (0, 1))):
+        with pytest.raises(ArithmeticError):
+            _poly.div_exact(a, b)
 
 
 def test_isolate_roots_builds_one_sturm_chain(monkeypatch):

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from curveinv import fixtures, torsion
+from curveinv.errors import PreconditionError
 from curveinv.torsion import (
     CutoffTooSmall,
     FlatTorus,
@@ -69,6 +70,16 @@ def test_torsion_raises_when_tail_bound_cannot_be_certified(period):
         weight_table(torus, 1)
     with pytest.raises(CutoffTooSmall):
         wiener_weight(torus, (0,))
+
+
+def test_lattice_sum_overflow_is_a_precondition():
+    # plain ** n leaves float range from about n = 8560 at the default period
+    assert 0 < weight_table(FlatTorus(8500), 0).entries[0][1] < 1
+    for torus in (FlatTorus(9000), FlatTorus(300, period=0.3)):
+        with pytest.raises(PreconditionError):
+            weight_table(torus, 0)
+        with pytest.raises(PreconditionError):
+            wiener_weight(torus, (0,) * torus.n)
 
 
 # -- theta sums ---------------------------------------------------------------
