@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals (internal).
 
 Matrices are tuples of row tuples of ``Fraction``; columns/vectors are
-tuples of ``Fraction``.  Everything is deterministic: row reduction always
-picks the leftmost pivot, basis extensions scan the standard basis in a
-fixed direction.
+tuples of ``Fraction``.  One fraction-free elimination over Z, ``_echelon``,
+answers every question: ``rref`` (and through it rank, kernels, basis
+extensions and inverses) and ``det`` only read its integer rows, and only
+their outputs are rational.  Everything is deterministic: row reduction
+always picks the leftmost pivot, basis extensions scan the standard basis
+in a fixed direction.
 """
 
 from __future__ import annotations
@@ -51,11 +54,6 @@ def msub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mscale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
     """The matrix polynomial sum_k coeffs[k] * x**k, by Horner's rule."""
     x = Fraction(x)
@@ -77,32 +75,53 @@ def columns(a: Matrix) -> list:
     return [tuple(a[i][j] for i in range(n)) for j in range(m)]
 
 
-def rref(a: Matrix):
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in a]
+def _echelon(a: Matrix):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968).
+
+    Each row is scaled to integers by the lcm of its denominators.  At a
+    pivot ``p`` in row ``top`` every other row becomes
+    ``(p*row - f*top) // prev``, with ``f`` its entry in the pivot column and
+    ``prev`` the previous pivot, even where ``f`` is 0; each entry stays a
+    minor of the scaled matrix, so the division is exact, and every pivot
+    ends equal to the last one.  Returns the integer
+    rows, the pivot columns, the sign of the row swaps, the last pivot and
+    the product of the row scales.
+    """
     n, m = shape(a)
+    rows = []
+    scale = 1
+    for row in a:
+        d = math.lcm(*[c.denominator for c in row])
+        rows.append([c.numerator * (d // c.denominator) for c in row])
+        scale *= d
     pivots = []
-    r = 0
+    sign = 1
+    prev = 1
     for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         pivots.append(c)
-        r += 1
-        if r == n:
+        prev = p
+        if r + 1 == n:
             break
-    return freeze(rows), pivots
+    return rows, pivots, sign, prev, scale
+
+
+def rref(a: Matrix):
+    """Reduced row echelon form and the pivot column indices."""
+    rows, pivots, _, prev, _ = _echelon(a)
+    return tuple(tuple(Fraction(x, prev) for x in row) for row in rows), pivots
 
 
 def rank(a: Matrix) -> int:
@@ -161,36 +180,12 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination over Z.
-
-    Each row is scaled to integers; every elimination step divides exactly
-    by the previous pivot, and the row scales are divided out once.
-    """
+    """Determinant: the last pivot of the elimination over the row scales."""
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    rows = []
-    scale = 1
-    for row in a:
-        d = math.lcm(*[c.denominator for c in row])
-        rows.append([c.numerator * (d // c.denominator) for c in row])
-        scale *= d
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        p, top = rows[k][k], rows[k]
-        for i in range(k + 1, n):
-            r, f = rows[i], rows[i][k]
-            for j in range(k + 1, n):
-                r[j] = (r[j] * p - f * top[j]) // prev
-        prev = p
-    return Fraction(sign * prev, scale)
+    _, pivots, sign, prev, scale = _echelon(a)
+    return Fraction(sign * prev, scale) if len(pivots) == n else Fraction(0)
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -103,9 +103,12 @@ def pointwise_product(a: MatrixCurveJet, b: MatrixCurveJet) -> MatrixCurveJet:
 def shifted_eigen_curve(k: _linalg.Matrix, mu) -> MatrixCurveJet:
     """The curve lam -> lam*I - K, centered at mu."""
     k = _linalg.freeze(k)
-    n = len(k)
-    const = _linalg.msub(_linalg.mscale(_linalg.identity(n), Fraction(mu)), k)
-    return MatrixCurveJet(n, Fraction(mu), (const, _linalg.identity(n)))
+    mu = Fraction(mu)
+    const = tuple(
+        tuple((mu if i == j else 0) - x for j, x in enumerate(row))
+        for i, row in enumerate(k)
+    )
+    return MatrixCurveJet(len(k), mu, (const, _linalg.identity(len(k))))
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +638,8 @@ def classical_multiplicity(k: _linalg.Matrix, mu) -> ClassicalMultiplicityReport
     multiplicity is the dimension at stabilization.  Agrees with the
     determinant-order route applied to lam -> lam*I - K.
     """
-    k = _linalg.freeze(k)
-    n = len(k)
-    a = _linalg.msub(_linalg.mscale(_linalg.identity(n), Fraction(mu)), k)
+    a = shifted_eigen_curve(k, mu).constant_term()
+    n = len(a)
     power = a
     prev_dim = n - _linalg.rank(power)
     nu = 1

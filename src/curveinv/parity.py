@@ -95,13 +95,18 @@ class PolynomialPath:
     def ensure_admissible(self) -> tuple[Fraction, Fraction]:
         """Raise NotAdmissible unless the path is invertible at both
         endpoints; returns the two endpoint determinants."""
-        da = _linalg.det(self.evaluate(self.a))
-        if da == 0:
-            raise NotAdmissible(f"path is singular at the left endpoint {self.a}")
-        db = _linalg.det(self.evaluate(self.b))
-        if db == 0:
-            raise NotAdmissible(f"path is singular at the right endpoint {self.b}")
-        return da, db
+        return self._nonzero_at_endpoints(lambda lam: _linalg.det(self.evaluate(lam)))
+
+    def _nonzero_at_endpoints(self, value) -> tuple:
+        """``value(a)`` and ``value(b)``, the determinant at the endpoints;
+        raises NotAdmissible at the first that is zero."""
+        out = []
+        for side, lam in (("left", self.a), ("right", self.b)):
+            v = value(lam)
+            if v == 0:
+                raise NotAdmissible(f"path is singular at the {side} endpoint {lam}")
+            out.append(v)
+        return tuple(out)
 
     def reversed(self) -> "PolynomialPath":
         """The same track traversed backwards, reparameterized on [a, b]."""
@@ -225,8 +230,8 @@ def crossing_parity(path: PolynomialPath) -> ParityValue:
     NonTransversalCrossing and the caller should fall back to
     multiplicity_sum_parity.
     """
-    path.ensure_admissible()
     det = _poly.primitive(path.determinant_polynomial())
+    path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
     common = _poly.gcd(det, _poly.derivative(det))
     if _poly.count_roots_open(common, path.a, path.b) > 0:
         raise NonTransversalCrossing(
@@ -243,8 +248,8 @@ def multiplicity_sum_parity(path: PolynomialPath) -> ParityValue:
     The local multiplicity at a root equals its multiplicity in the
     determinant polynomial, read off an exact square-free decomposition.
     """
-    path.ensure_admissible()
     det = path.determinant_polynomial()
+    path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
     factors = _poly.squarefree_decomposition(det)
     crossings = []
     total = 0

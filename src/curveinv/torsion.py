@@ -138,6 +138,21 @@ def _torus_sum(plain: float, torus: FlatTorus) -> float:
         ) from None
 
 
+def _heat_normalization(power: float, torus: FlatTorus) -> float:
+    """(4 pi t) ** (-n/2) * power, the heat kernel's lattice normalization;
+    refused when it overflows a float."""
+    try:
+        value = (4.0 * math.pi * torus.time) ** (-torus.n / 2.0) * power
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise PreconditionError(
+            f"the heat-kernel normalization of the {torus.n}-torus at period "
+            f"{torus.period!r} and time {torus.time!r} overflows a float"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class ThetaSum:
     value: float
@@ -269,12 +284,11 @@ def weight_table(
     entries = tuple(
         (w, math.exp(-c * sum(m * m for m in w)) / power) for w in classes
     )
-    normalization = (4.0 * math.pi * torus.time) ** (-torus.n / 2.0) * power
     return WienerWeights(
         torus=torus,
         cutoff=cutoff,
         entries=entries,
-        normalization=normalization,
+        normalization=_heat_normalization(power, torus),
         tail_bound=tail,
     )
 

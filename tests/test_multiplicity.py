@@ -105,6 +105,45 @@ def test_extend_to_basis_keeps_the_rank_raising_scan():
         _linalg.extend_to_basis(cols + cols, 3)
 
 
+def test_rref_matches_sympy(rng):
+    import sympy
+
+    def draw(n, m, density):
+        return [
+            [
+                F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                if rng.random() < density
+                else F(0)
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+
+    cases = [[], [[]], [[], [], []], [[F(0)] * 4] * 3]
+    for n, m in [(1, 1), (2, 5), (3, 7), (5, 2), (7, 3), (4, 4), (6, 6), (7, 8)]:
+        for density in (1.0, 0.5, 0.2):
+            for _ in range(4):
+                rows = draw(n, m, density)
+                if n >= 2 and rng.random() < 0.5:  # rank-deficient
+                    c = F(rng.randint(-3, 3), rng.randint(1, 4))
+                    rows[-1] = [c * x + y for x, y in zip(rows[0], rows[-2])]
+                cases.append(rows)
+    for rows in cases:
+        a = tuple(tuple(row) for row in rows)
+        n, m = _linalg.shape(a)
+        want, want_pivots = sympy.Matrix(n, m, [c for row in a for c in row]).rref()
+        got, pivots = _linalg.rref(a)
+        assert pivots == list(want_pivots)
+        assert all(type(c) is F for row in got for c in row)
+        got_sympy = [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in got]
+        assert got_sympy == (want.tolist() if n else [])
+        if n == m and len(pivots) == n:
+            assert _linalg.matmul(_linalg.inverse(a), a) == _linalg.identity(n)
+        elif n == m:
+            with pytest.raises(ArithmeticError):
+                _linalg.inverse(a)
+
+
 def test_validate_rejects_wrong_pair():
     t = mat([[0, 1], [0, 0]])
     good = projection_pair(t)

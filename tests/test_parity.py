@@ -59,10 +59,36 @@ def test_interval_parity_two_crossings():
     assert interval_parity(path).sign == 1
 
 
-def test_interval_parity_rejects_singular_endpoint():
-    path = diag_path([[1, -1], [1]])  # diag(1 - lam, 1), singular at lam = 1
-    with pytest.raises(NotAdmissible):
-        interval_parity(path)
+ROUTES = [interval_parity, crossing_parity, multiplicity_sum_parity]
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=["interval", "crossings", "chi-sum"])
+@pytest.mark.parametrize(
+    "root, side", [(-1, "left"), (1, "right")], ids=["left", "right"]
+)
+def test_interval_parity_rejects_singular_endpoint(route, root, side):
+    path = diag_path([[-root, 1], [1]])  # diag(lam - root, 1), singular at root
+    with pytest.raises(NotAdmissible) as err:
+        route(path)
+    assert str(err.value) == f"path is singular at the {side} endpoint {root}"
+
+
+def test_only_the_interval_route_evaluates_endpoint_matrices(monkeypatch):
+    calls = []
+    det = _linalg.det
+
+    def spy(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr(_linalg, "det", spy)
+    path = fixtures.crossing_path()
+    interval_parity(path)
+    assert calls == [path.evaluate(path.a), path.evaluate(path.b)]
+    calls.clear()
+    crossing_parity(path)
+    multiplicity_sum_parity(path)
+    assert calls == []
 
 
 def test_interval_parity_depends_only_on_endpoints():

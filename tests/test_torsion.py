@@ -82,6 +82,20 @@ def test_lattice_sum_overflow_is_a_precondition():
             wiener_weight(torus, (0,) * torus.n)
 
 
+def test_heat_prefactor_overflow_is_a_precondition():
+    # (4 pi t) ** (-n/2) alone leaves float range: the power raises
+    with pytest.raises(PreconditionError, match="heat-kernel normalization"):
+        weight_table(FlatTorus(800, time=0.01), 0)
+
+
+def test_heat_normalization_overflow_to_inf_is_a_precondition():
+    # a finite prefactor times a finite lattice sum rounds to inf silently
+    torus = FlatTorus(600, period=0.3, time=0.05)
+    assert wiener_weight(torus, (0,) * torus.n) > 0
+    with pytest.raises(PreconditionError, match="heat-kernel normalization"):
+        weight_table(torus, 0)
+
+
 # -- theta sums ---------------------------------------------------------------
 
 
