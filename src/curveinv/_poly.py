@@ -376,7 +376,7 @@ def mat_det_bareiss(m: PolyMatrix) -> Poly:
     n = len(m)
     if n == 0:
         return ONE
-    a, d = _to_int_matrix(m)
+    a, d = to_int_matrix(m)
     sign = 1
     prev = (1,)
     for k in range(n - 1):
@@ -398,9 +398,9 @@ def mat_det_bareiss(m: PolyMatrix) -> Poly:
     return poly(Fraction(sign * x, d**n) for x in out)
 
 
-def _to_int_matrix(m: PolyMatrix):
+def to_int_matrix(m: PolyMatrix):
     """``(m * d, d)``: m scaled to integer coefficients by d, the least
-    common denominator of its coefficients."""
+    common denominator of its coefficients (1 for an integer m)."""
     d = math.lcm(*[c.denominator for row in m for p in row for c in p])
     return [
         [tuple([c.numerator * (d // c.denominator) for c in p]) for p in row]
@@ -411,18 +411,20 @@ def _to_int_matrix(m: PolyMatrix):
 def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
     """Adjugate and determinant via the Faddeev-LeVerrier recursion.
 
-    Returns ``(adj, det)`` with ``m @ adj == det * I``, exact over Q[x].
-    Internally the matrix is scaled to integer coefficients: the recursion
-    only ever divides traces by integers 1..n, and those divisions are
-    exact over Z, so the whole pass runs on plain ints (much faster than
-    Fractions) and is rescaled at the boundary.  ``mod_order`` truncates
-    all products modulo x^mod_order, which is sound because truncation is
-    a ring homomorphism and no polynomial division occurs.
+    Returns ``(adj, det)`` with ``m @ adj == det * I``, in the ring of
+    ``m``: an integer matrix gives an integer adjugate and determinant;
+    any other, and the zero matrix, gives them over Q.  The recursion runs
+    on ``m`` scaled to integer coefficients: it only ever divides traces by
+    integers 1..n, and those divisions are exact over Z, so the whole pass
+    runs on plain ints (much faster than Fractions) and a rational result
+    is rescaled at the boundary.  ``mod_order`` truncates all products
+    modulo x^mod_order, which is sound because truncation is a ring
+    homomorphism and no polynomial division occurs.
     """
     n = len(m)
     if n == 0:
         return [], ONE
-    im, d = _to_int_matrix(m)
+    im, d = to_int_matrix(m)
     acc = [[(1,) if i == j else () for j in range(n)] for i in range(n)]  # M_1 = I
     c = (1,)
     for k in range(1, n + 1):
@@ -438,8 +440,13 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
                 [add(am[i][j], c) if i == j else am[i][j] for j in range(n)]
                 for i in range(n)
             ]
-    det_sign = -1 if n % 2 else 1
-    adj_sign = 1 if n % 2 else -1
+    odd = n % 2 == 1
+    coeffs = [x for row in m for p in row for x in p]
+    if coeffs and all(type(x) is int for x in coeffs):
+        adj = [[p if odd else neg(p) for p in row] for row in acc]
+        return adj, neg(c) if odd else c
+    det_sign = -1 if odd else 1
+    adj_sign = 1 if odd else -1
     det = poly(Fraction(det_sign * x, d**n) for x in c)
     adj = [
         [poly(Fraction(adj_sign * x, d ** (n - 1)) for x in acc[i][j]) for j in range(n)]

@@ -1,12 +1,19 @@
-"""Truncated power series (jets) and Laurent jets over Q.
+"""Truncated power series (jets) and Laurent jets over Z and Q.
 
 This is the arithmetic bedrock of the package: every order-of-vanishing
-computation runs here, in exact rational arithmetic.  A jet stores the
-coefficients it actually knows (indices 0..known_order); every operation
-propagates the known order pessimistically, so a coefficient is never
-reported unless it is genuinely determined by the inputs.  A matrix of
-jets is a ``_poly`` polynomial matrix read through an order passed beside
-it, as ``jet_det`` and ``laurent_matrix_inverse`` take it.
+computation runs here, in exact arithmetic.  A jet stores the coefficients
+it actually knows (indices 0..known_order); every operation propagates the
+known order pessimistically, so a coefficient is never reported unless it
+is genuinely determined by the inputs.  A matrix of jets is a ``_poly``
+polynomial matrix read through an order passed beside it, as ``jet_det``
+and ``laurent_matrix_inverse`` take it.
+
+Coefficients follow ``_poly``'s rule: a jet keeps the ring of its
+coefficients.  The constructor keeps an all-``int`` tuple as it is and
+makes any other one ``Fraction``s, so a jet is integer or rational
+throughout; the ring operations keep the ring of their operands (integer
+jets stay integer, with no ``Fraction`` built), and only ``jet_inverse``
+divides, exactly, into Q.  The jet of the zero polynomial is rational.
 
 All values are immutable and all operations are pure functions; everything
 in this module is safe to share between threads.
@@ -62,9 +69,15 @@ class OrdResult:
         return f"Undetermined(>={self.at_least})"
 
 
+def _zero_like(p):
+    """The zero of the coefficient ring of the polynomial ``p``; the zero
+    polynomial is read over Q."""
+    return p[-1] * 0 if p else Fraction(0)
+
+
 @dataclass(frozen=True)
 class Jet:
-    """Truncated power series with exact rational coefficients.
+    """Truncated power series with exact integer or rational coefficients.
 
     ``coeffs[i]`` is the coefficient of the i-th power; ``known_order`` is
     ``len(coeffs) - 1``.  Two jets are comparable only through the minimum
@@ -76,9 +89,10 @@ class Jet:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a jet stores at least its constant term")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        coeffs = self.coeffs
+        if not all(type(c) is int for c in coeffs):
+            coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def known_order(self) -> int:
@@ -106,7 +120,8 @@ class Jet:
 
     @classmethod
     def from_polynomial(cls, p, order: int) -> "Jet":
-        c = list(p[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(p))
+        """The jet of the polynomial ``p`` through ``order``, in p's ring."""
+        c = list(p[: order + 1]) + [_zero_like(p)] * (order + 1 - len(p))
         return cls(tuple(c))
 
     def truncate(self, order: int) -> "Jet":
@@ -126,7 +141,9 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         k = min(self.known_order, other.known_order)
-        return Jet.from_polynomial(_poly.mul(self.coeffs, other.coeffs, k + 1), k)
+        prod = _poly.mul(self.coeffs, other.coeffs, k + 1)
+        # a zero product keeps the operands' ring
+        return Jet.from_polynomial(prod or (_zero_like(self.coeffs),), k)
 
     def agrees_with(self, other: "Jet") -> bool:
         k = min(self.known_order, other.known_order)
@@ -142,11 +159,14 @@ class Jet:
 
 
 def jet_inverse(a: Jet) -> Jet:
-    """Multiplicative inverse of a unit jet, to the same known order."""
+    """Multiplicative inverse of a unit jet, to the same known order.
+
+    Rational for every unit: the constant term is divided exactly.
+    """
     if a.coeffs[0] == 0:
         raise NotAUnit("constant term vanishes; the jet has no inverse")
     n = a.known_order
-    inv0 = 1 / a.coeffs[0]
+    inv0 = Fraction(1, a.coeffs[0])
     out = [inv0] + [Fraction(0)] * n
     for k in range(1, n + 1):
         s = Fraction(0)
@@ -195,9 +215,8 @@ class LaurentJet:
         pole, unit = self.pole_order, self.unit_part
         while pole > 0 and unit.coeffs[0] == 0:
             pole -= 1
-            unit = (
-                Jet(unit.coeffs[1:]) if unit.known_order >= 1 else Jet.zero(0)
-            )
+            if unit.known_order >= 1:
+                unit = Jet(unit.coeffs[1:])
         object.__setattr__(self, "pole_order", pole)
         object.__setattr__(self, "unit_part", unit)
 
@@ -276,7 +295,8 @@ def _pad(x: LaurentJet, pole: int) -> Jet:
     extra = pole - x.pole_order
     if extra == 0:
         return x.unit_part
-    return Jet(tuple([Fraction(0)] * extra + list(x.unit_part.coeffs)))
+    coeffs = x.unit_part.coeffs
+    return Jet(tuple([_zero_like(coeffs)] * extra + list(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -315,8 +335,9 @@ class LaurentMatrix:
                 if pos % 2 == 1:
                     term = -term
                 acc = term if acc is None else acc + term
-            if acc is None:
-                acc = LaurentJet(0, Jet.zero(0))
+            if acc is None:  # a zero column: the zero of its entries' ring
+                zero = _zero_like(entries[rows[0]][col].unit_part.coeffs)
+                acc = LaurentJet(0, Jet((zero,)))
             cache[rows] = acc
             return acc
 

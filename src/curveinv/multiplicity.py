@@ -18,6 +18,8 @@ All functions are pure and all values immutable.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,29 +124,40 @@ class ProjectionPair:
     ``p`` projects onto Ker[T] along a complement spanned by standard
     vectors at the pivot columns; ``q`` projects onto R[T] along a
     complement completed from the standard basis.  The four stored bases
-    are the block decomposition the Schur operator lives in.
+    are the block decomposition the Schur operator lives in; ``p`` and
+    ``q`` are built from them on first read.
     """
 
-    p: _linalg.Matrix
-    q: _linalg.Matrix
     kernel_basis: tuple            # columns spanning Ker[T]
     kernel_complement: tuple       # columns spanning a complement of Ker[T]
     range_basis: tuple             # columns spanning R[T]
     range_complement: tuple        # columns spanning a complement of R[T]
 
     @property
+    def dim(self) -> int:
+        return len(self.kernel_basis) + len(self.kernel_complement)
+
+    @property
     def kernel_dim(self) -> int:
         return len(self.kernel_basis)
+
+    @functools.cached_property
+    def p(self) -> _linalg.Matrix:
+        return _projection_onto(self.kernel_basis, self.kernel_complement, self.dim)
+
+    @functools.cached_property
+    def q(self) -> _linalg.Matrix:
+        return _projection_onto(self.range_basis, self.range_complement, self.dim)
 
     def domain_frame(self) -> _linalg.Matrix:
         """Columns: the kernel complement, then the kernel basis."""
         cols = [*self.kernel_complement, *self.kernel_basis]
-        return _linalg.hstack(cols, len(self.p))
+        return _linalg.hstack(cols, self.dim)
 
     def codomain_frame(self) -> _linalg.Matrix:
         """Columns: the range basis, then the range complement."""
         cols = [*self.range_basis, *self.range_complement]
-        return _linalg.hstack(cols, len(self.p))
+        return _linalg.hstack(cols, self.dim)
 
 
 def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPair:
@@ -172,12 +185,7 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
         kernel_complement = list(reversed(kernel_complement))
         range_b = list(reversed(range_b))
     range_complement = _linalg.extend_to_basis(range_b, n, reverse=reverse)
-
-    p = _projection_onto(kernel, kernel_complement, n)
-    q = _projection_onto(range_b, range_complement, n)
     return ProjectionPair(
-        p=p,
-        q=q,
         kernel_basis=tuple(kernel),
         kernel_complement=tuple(kernel_complement),
         range_basis=tuple(range_b),
@@ -448,14 +456,19 @@ def multiplicity_laurent(
     if k_dim == 0:
         return MultiplicityReport.finite(0, "laurent", witness=Jet.one(1))
 
-    lift = curve.polynomial_lift()
     n = curve.dim
     full = curve.order_bound() + 1
 
-    # compression frame, as constant polynomials: kernel coordinates of P on
-    # the left, the range complement on the right
-    a_rows = _poly.mat_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
-    b_cols = _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
+    # the block runs over Z: the lift, the kernel coordinates of P (left)
+    # and the range complement (right) are each scaled to integer constant
+    # polynomials, and the determinant is rescaled once at the end
+    lift, s_lift = _poly.to_int_matrix(curve.polynomial_lift())
+    a_rows, s_a = _poly.to_int_matrix(
+        _poly.mat_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
+    )
+    b_cols, s_b = _poly.to_int_matrix(
+        _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
+    )
 
     work = min(max(2 * curve.degree + 6, 8), full)
     det_ord = None
@@ -479,17 +492,28 @@ def multiplicity_laurent(
         slack = work - 1 - det_ord
         if slack >= 1:
             compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj_w), b_cols)
+            # the inverse of the unit part of det, scaled to integers by s_u
             u_inv = jet_inverse(Jet.from_polynomial(det_w[det_ord:], slack))
+            s_u = math.lcm(*[c.denominator for c in u_inv.coeffs])
+            v = Jet(tuple([c.numerator * (s_u // c.denominator) for c in u_inv.coeffs]))
             grid = []
             for i in range(k_dim):
                 row = []
                 for j in range(k_dim):
                     w = Jet.from_polynomial(compressed[i][j], slack)
-                    row.append(LaurentJet(det_ord, w * u_inv))
+                    row.append(LaurentJet(det_ord, w * v))
                 grid.append(tuple(row))
             d = LaurentMatrix(k_dim, tuple(grid)).det()
             lead = d.leading_exponent()
             if lead.is_finite:
+                # each entry is the rational block's divided by
+                # c = s_lift / (s_a * s_b * s_u), and every k x k minor is
+                # homogeneous of degree k: one rescale by c^k, which moves
+                # no zero, pole or known order
+                scale = Fraction(s_lift, s_a * s_b * s_u) ** k_dim
+                d = LaurentJet(
+                    d.pole_order, Jet(tuple([scale * c for c in d.unit_part.coeffs]))
+                )
                 witness = d.inverse()  # determinant of the inverse block
                 return MultiplicityReport.finite(
                     -lead.value, "laurent", witness=witness

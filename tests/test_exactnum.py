@@ -82,6 +82,27 @@ def test_inverse_requires_unit():
         jet_inverse(jet(0, 1))
 
 
+def test_inverse_of_an_integer_jet_is_exact():
+    inv = jet_inverse(Jet((2, 1, 0)))
+    assert inv.coeffs == (F(1, 2), F(-1, 4), F(1, 8))
+    assert all(type(c) is F for c in inv.coeffs)
+
+
+def test_jets_keep_their_coefficient_ring():
+    a, b = Jet((1, 2, 0)), Jet((3, -1, 5))
+    for j in (a * b, a + b, -a, a - b, LaurentJet(2, Jet((0, 0, 4))).unit_part):
+        assert all(type(c) is int for c in j.coeffs)
+    assert (a * Jet((0, 0, 0))).coeffs == (0, 0, 0)
+    assert all(type(c) is int for c in (a * Jet((0, 0, 0))).coeffs)
+    # one rational coefficient makes the jet rational, a float included
+    for j in (Jet((1, F(1, 2))), Jet((1, 0.5)), a * jet(1, 0, 0)):
+        assert all(type(c) is F for c in j.coeffs)
+    assert Jet((1, 0.5)).coeffs == (F(1), F(1, 2))
+    # the zero polynomial is read over Q
+    assert Jet.from_polynomial((), 2).coeffs == (F(0),) * 3
+    assert all(type(c) is F for c in Jet.from_polynomial((), 2).coeffs)
+
+
 # -- vanishing order ----------------------------------------------------------
 
 
@@ -337,3 +358,69 @@ def test_eval_at_is_rational_horner(coeffs, data):
         want = want * x + c
     got = _poly.eval_at(p, x)
     assert type(got) is F and got == want
+
+
+# -- integer blocks and one rescale (the Laurent route's block over Z) ---------
+
+
+@st.composite
+def integer_laurent_grids(draw):
+    """A k x k grid of integer Laurent jets, some of whose windows are all
+    zero (entries that normalize to pole 0, the defective normal form)."""
+    k = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 4))
+
+    def entry():
+        if draw(st.booleans()) and draw(st.booleans()):
+            coeffs = [0] * draw(st.integers(1, order + 1))
+        else:
+            coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=order + 1))
+        return LaurentJet(draw(st.integers(0, 3)), Jet(tuple(coeffs)))
+
+    return k, tuple(tuple(entry() for _ in range(k)) for _ in range(k))
+
+
+def _scaled(c, x: LaurentJet) -> LaurentJet:
+    return LaurentJet(x.pole_order, Jet(tuple(c * e for e in x.unit_part.coeffs)))
+
+
+@settings(deadline=None)
+@given(
+    integer_laurent_grids(),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool),
+)
+def test_block_determinant_scales_by_c_to_the_k(block, c):
+    k, grid = block
+    d = LaurentMatrix(k, grid).det()
+    scaled_grid = tuple(tuple(_scaled(c, e) for e in row) for row in grid)
+    scaled = LaurentMatrix(k, scaled_grid).det()
+    assert all(type(x) is int for x in d.unit_part.coeffs)
+    assert scaled.pole_order == d.pole_order
+    assert scaled.known_through == d.known_through
+    assert scaled.unit_part.coeffs == tuple(c**k * x for x in d.unit_part.coeffs)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(1, 5)),
+    st.data(),
+)
+def test_adjugate_keeps_the_ring_of_its_matrix(n, mod_order, data):
+    entry = st.lists(st.integers(-4, 4), max_size=3).map(_poly._trim)
+    m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    adj, det = _poly.mat_adjugate_det(m, mod_order)
+    entries = [*det, *(c for row in adj for p in row for c in p)]
+    # the zero matrix, like the zero polynomial, is read over Q
+    ring = int if any(p for row in m for p in row) else F
+    assert all(type(c) is ring for c in entries)
+    for i, row in enumerate(_poly.mat_mul(m, adj, mod_order)):
+        for j, p in enumerate(row):
+            want = det if i == j else ()
+            assert p[:mod_order] == want[:mod_order]
+    # the same matrix over Q gives the same values as Fractions
+    q_m = [[_poly.poly(p) for p in row] for row in m]
+    q_adj, q_det = _poly.mat_adjugate_det(q_m, mod_order)
+    assert q_det == _poly.poly(det) and all(type(c) is F for c in q_det)
+    assert q_adj == [[_poly.poly(p) for p in row] for row in adj]
+    assert all(type(c) is F for row in q_adj for p in row for c in p)

@@ -94,6 +94,25 @@ def test_projection_pair_nilpotent_block():
     validate_projection_pair(t, pair)
 
 
+def test_projections_are_built_on_first_read(monkeypatch):
+    from curveinv import multiplicity
+
+    built = []
+    real = multiplicity._projection_onto
+    monkeypatch.setattr(
+        multiplicity, "_projection_onto", lambda *a: built.append(a) or real(*a)
+    )
+    c = fixtures.nilpotent_shift_curve()
+    for route in (multiplicity_schur, multiplicity_laurent):
+        assert route(c).value == 2
+    pair = projection_pair(c.constant_term())
+    assert built == []
+    p, q = pair.p, pair.q
+    assert len(built) == 2 and pair.p is p and pair.q is q
+    validate_projection_pair(c.constant_term(), pair)
+    assert len(built) == 2
+
+
 def test_extend_to_basis_keeps_the_rank_raising_scan():
     # (1, 1, 0) spans a line: forward, e1 = (1, 1, 0) - e0 adds nothing;
     # backward, e0 = (1, 1, 0) - e1 does
