@@ -441,15 +441,12 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
                 for i in range(n)
             ]
     odd = n % 2 == 1
+    adj = [[p if odd else neg(p) for p in row] for row in acc]
+    det = neg(c) if odd else c
     coeffs = [x for row in m for p in row for x in p]
     if coeffs and all(type(x) is int for x in coeffs):
-        adj = [[p if odd else neg(p) for p in row] for row in acc]
-        return adj, neg(c) if odd else c
-    det_sign = -1 if odd else 1
-    adj_sign = 1 if odd else -1
-    det = poly(Fraction(det_sign * x, d**n) for x in c)
-    adj = [
-        [poly(Fraction(adj_sign * x, d ** (n - 1)) for x in acc[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return adj, det
+        return adj, det
+    return (
+        [[poly(Fraction(x, d ** (n - 1)) for x in p) for p in row] for row in adj],
+        poly(Fraction(x, d**n) for x in det),
+    )

@@ -70,8 +70,9 @@ class OrdResult:
 
 
 def _zero_like(p):
-    """The zero of the coefficient ring of the polynomial ``p``; the zero
-    polynomial is read over Q."""
+    """The zero of the ring of the coefficients ``p`` (a polynomial or a
+    jet's tuple), read off the last one; the zero polynomial ``()`` is read
+    over Q."""
     return p[-1] * 0 if p else Fraction(0)
 
 

@@ -86,6 +86,8 @@ def test_inverse_of_an_integer_jet_is_exact():
     inv = jet_inverse(Jet((2, 1, 0)))
     assert inv.coeffs == (F(1, 2), F(-1, 4), F(1, 8))
     assert all(type(c) is F for c in inv.coeffs)
+    # 1/3 has no exact float, so a float on the way would show here
+    assert jet_inverse(Jet((3, 1))).coeffs == (F(1, 3), F(-1, 9))
 
 
 def test_jets_keep_their_coefficient_ring():

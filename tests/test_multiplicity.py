@@ -535,6 +535,53 @@ def test_determinant_order_against_sympy_oracle(rng):
         assert multiplicity_det(c).value == low == expected
 
 
+def test_laurent_witness_against_sympy_oracle(rng):
+    # the witness is 1/det(A L^-1 B) = det(L)^k / det(A adj(L) B), a power
+    # series of order chi in mu; every coefficient it stores must be exact
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ[sympy.Symbol("mu")]
+
+    def qq(q):
+        return sympy.QQ(q.numerator, q.denominator)
+
+    def matrix(rows):
+        """Polynomial matrix from rows of ascending coefficient lists."""
+        grid = [[ring.ring.from_list([qq(q) for q in reversed(p)]) for p in row] for row in rows]
+        return DomainMatrix(grid, (len(rows), len(rows[0])), ring)
+
+    def series(p):
+        """Coefficients from the lowest nonzero one up, and its power."""
+        coeffs = [F(int(q.numerator), int(q.denominator)) for q in reversed(p.to_dense())]
+        low = next(i for i, q in enumerate(coeffs) if q)
+        return coeffs[low:], low
+
+    checked = 0
+    while checked < 20:
+        c, expected = curve_with_known_multiplicity(rng, n=rng.randint(1, 5), max_degree=5)
+        pair = projection_pair(c.constant_term())
+        k, n = pair.kernel_dim, c.dim
+        if k == 0:
+            continue
+        lift = matrix([[[m[i][j] for m in c.coefficients] for j in range(n)] for i in range(n)])
+        a = matrix([[(q,) for q in row] for row in _linalg.inverse(pair.domain_frame())[n - k :]])
+        b = matrix([[(q,) for q in row] for row in _linalg.hstack(pair.range_complement, n)])
+        num, num_low = series(lift.det() ** k)
+        den, den_low = series((a * lift.adjugate() * b).det())
+        witness = multiplicity_laurent(c).witness
+        shift = num_low - den_low
+        assert shift == expected == witness.leading_exponent().value
+        quotient = []  # num / den by long division
+        for i in range(witness.known_through + 1 - shift):
+            acc = num[i] if i < len(num) else F(0)
+            acc -= sum(den[j] * quotient[i - j] for j in range(1, min(i + 1, len(den))))
+            quotient.append(acc / den[0])
+        for e in range(witness.known_through + 1):
+            assert witness.coefficient(e) == (quotient[e - shift] if e >= shift else 0)
+        checked += 1
+
+
 def test_classical_against_sympy_charpoly_oracle(rng):
     import sympy
 
