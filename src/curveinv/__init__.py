@@ -23,7 +23,6 @@ from .exactnum import (
     SingularToKnownOrder,
     jet_det,
     jet_inverse,
-    laurent_matrix_inverse,
     vanishing_order,
 )
 from .multiplicity import (

@@ -9,8 +9,12 @@ rings and never coerce, so integer inputs give integer results; ``poly`` is
 the coercing constructor for inputs.  The Euclidean kernels (``gcd``,
 ``div_exact``, ``squarefree_decomposition``, ``sturm_chain``) run over Z on
 primitive polynomials: a rational polynomial enters through ``primitive``,
-its positive multiple with coprime integer coefficients.  All operations
-are exact, no floating point anywhere.
+its positive multiple with coprime integer coefficients.  One
+fraction-free Bareiss elimination over Z[x], ``mat_eliminate``, gives both
+the determinant of a polynomial matrix (``mat_det_bareiss``) and the
+Schur complement of a leading block; ``mat_adjugate_det`` gives the
+adjugate modulo a power of x.  All operations are exact, no floating point
+anywhere.
 
 Tuples of coefficients are built from lists, not generators: CPython
 grows a tuple fed by a generator by repeated resizing, and with big-int
@@ -367,35 +371,52 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     return out
 
 
-def mat_det_bareiss(m: PolyMatrix) -> Poly:
-    """Determinant by fraction-free Bareiss elimination.
+def mat_eliminate(m: PolyMatrix, steps: int):
+    """``(det B, S~)`` by fraction-free Bareiss elimination over Z[x].
 
-    Exact in Q[x]; denominators are cleared first so the elimination runs
-    on integer coefficients, where the Bareiss divisions are exact.
+    ``B`` is the leading ``steps`` x ``steps`` block of m, and
+    ``S~ = det(B) * (D - C * B^-1 * C')`` is its Schur complement scaled by
+    ``det B``, over the trailing block ``D``.  Denominators are cleared
+    first, so the elimination runs on integer coefficients, where the
+    Bareiss divisions are exact.  It clears the first ``steps`` columns
+    with pivots (and row swaps) from the first ``steps`` rows only; by
+    Sylvester's identity every trailing entry is then the bordered minor
+    of ``B``, which is ``S~`` up to the swap sign and the scale ``d`` of the
+    integers: ``d^steps`` for ``det B`` and ``d^(steps+1)`` for ``S~``.  Zero
+    steps give ``(ONE, m)``, all of them ``(det m, [])``.  A singular ``B``
+    gives ``(ZERO, None)``: this elimination does not determine ``S~`` then.
     """
     n = len(m)
-    if n == 0:
-        return ONE
     a, d = to_int_matrix(m)
     sign = 1
     prev = (1,)
-    for k in range(n - 1):
+    for k in range(steps):
         if not a[k][k]:
-            for i in range(k + 1, n):
+            for i in range(k + 1, steps):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return ZERO
+                return ZERO, None
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
                 a[i][j] = div_exact(num, prev)
             a[i][k] = ()
         prev = a[k][k]
-    out = a[n - 1][n - 1]
-    return poly(Fraction(sign * x, d**n) for x in out)
+    det_b = poly(Fraction(sign * x, d**steps) for x in prev)
+    scale = d ** (steps + 1)
+    return det_b, [
+        [poly(Fraction(sign * x, scale) for x in p) for p in row[steps:]]
+        for row in a[steps:]
+    ]
+
+
+def mat_det_bareiss(m: PolyMatrix) -> Poly:
+    """Determinant by fraction-free Bareiss elimination: ``mat_eliminate``
+    through every column."""
+    return mat_eliminate(m, len(m))[0]
 
 
 def to_int_matrix(m: PolyMatrix):
@@ -408,8 +429,9 @@ def to_int_matrix(m: PolyMatrix):
     ], d
 
 
-def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
-    """Adjugate and determinant via the Faddeev-LeVerrier recursion.
+def mat_adjugate_det(m: PolyMatrix, mod_order: int):
+    """Adjugate and determinant modulo x^mod_order, via the
+    Faddeev-LeVerrier recursion.
 
     Returns ``(adj, det)`` with ``m @ adj == det * I``, in the ring of
     ``m``: an integer matrix gives an integer adjugate and determinant;
@@ -417,9 +439,9 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int | None = None):
     on ``m`` scaled to integer coefficients: it only ever divides traces by
     integers 1..n, and those divisions are exact over Z, so the whole pass
     runs on plain ints (much faster than Fractions) and a rational result
-    is rescaled at the boundary.  ``mod_order`` truncates all products
-    modulo x^mod_order, which is sound because truncation is a ring
-    homomorphism and no polynomial division occurs.
+    is rescaled at the boundary.  Truncating every product modulo
+    x^mod_order is sound because truncation is a ring homomorphism and no
+    polynomial division occurs.
     """
     n = len(m)
     if n == 0:

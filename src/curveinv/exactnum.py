@@ -6,7 +6,7 @@ it actually knows (indices 0..known_order); every operation propagates the
 known order pessimistically, so a coefficient is never reported unless it
 is genuinely determined by the inputs.  A matrix of jets is a ``_poly``
 polynomial matrix read through an order passed beside it, as ``jet_det``
-and ``laurent_matrix_inverse`` take it.
+takes it.
 
 Coefficients follow ``_poly``'s rule: a jet keeps the ring of its
 coefficients.  The constructor keeps an all-``int`` tuple as it is and
@@ -221,10 +221,6 @@ class LaurentJet:
         object.__setattr__(self, "pole_order", pole)
         object.__setattr__(self, "unit_part", unit)
 
-    @classmethod
-    def from_jet(cls, j: Jet) -> "LaurentJet":
-        return cls(0, j)
-
     @property
     def known_through(self) -> int:
         """Highest exponent whose coefficient is determined."""
@@ -307,14 +303,11 @@ class LaurentMatrix:
     dim: int
     grid: tuple  # tuple of row tuples of LaurentJet
 
-    def entry(self, i: int, j: int) -> LaurentJet:
-        return self.grid[i][j]
-
     def det(self) -> LaurentJet:
         """Determinant by cofactor expansion.
 
         Entries that vanish through their whole window are treated as exact
-        zeros (true for every matrix this module itself produces).
+        zeros.
         """
         if self.dim == 0:
             return LaurentJet(0, Jet.one(0))
@@ -343,48 +336,3 @@ class LaurentMatrix:
             return acc
 
         return rec(tuple(range(self.dim)), 0)
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    term = self.grid[i][k] * other.grid[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(tuple(row))
-        return LaurentMatrix(n, tuple(rows))
-
-
-def laurent_matrix_inverse(m: _poly.PolyMatrix, order: int) -> LaurentMatrix:
-    """Inverse of a polynomial matrix known through ``order``, as a matrix
-    of Laurent jets.
-
-    Computed as adjugate over determinant, both modulo x^(order + 1); every
-    pole order is bounded by the vanishing order of the determinant, and
-    the product with ``m`` equals the identity through the representable
-    window.
-    """
-    adj_poly, det_poly = _poly.mat_adjugate_det(m, mod_order=order + 1)
-    det_jet = Jet.from_polynomial(det_poly, order)
-    k = vanishing_order(det_jet)
-    if not k.is_finite:
-        raise SingularToKnownOrder(
-            f"determinant vanishes through order {order}"
-        )
-    det_inv = LaurentJet.from_jet(det_jet).inverse()
-    rows = []
-    for adj_row in adj_poly:
-        row = []
-        for p in adj_row:
-            q = LaurentJet.from_jet(Jet.from_polynomial(p, order)) * det_inv
-            if q.known_through < -q.pole_order:
-                raise InsufficientJetOrder(
-                    "quotient retains no significant coefficients"
-                )
-            row.append(q)
-        rows.append(tuple(row))
-    return LaurentMatrix(len(m), tuple(rows))

@@ -348,33 +348,18 @@ def _pair_for(curve: MatrixCurveJet, pair: ProjectionPair | None) -> ProjectionP
 
 
 def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
-    """``det L11`` and ``S~ = det(L11)*L22 - L21*adj(L11)*L12`` over Q[x].
+    """``det L11`` and ``S~ = det(L11)*(L22 - L21*L11^-1*L12)`` over Q[x].
 
     The blocks are those of the curve in the pair's frame, where ``L11`` is
     invertible at the base point; the Schur block is ``S = S~ / det L11``.
+    Both come from one fraction-free elimination of the framed curve's
+    first ``n - k`` columns.
     """
     pair = _pair_for(curve, pair)
-    dom = pair.domain_frame()
-    cod_inv = _linalg.inverse(pair.codomain_frame())
-    lift = _poly.mat_lift(
-        [_linalg.matmul(cod_inv, _linalg.matmul(c, dom)) for c in curve.coefficients]
-    )
-    n = curve.dim
-    m = n - pair.kernel_dim
-    l22 = [row[m:] for row in lift[m:]]
-    if m in (0, n):
-        # an empty L11 (or an empty kernel block) leaves S~ = S = L22
-        return _poly.ONE, l22
-    adj11, det11 = _poly.mat_adjugate_det([row[:m] for row in lift[:m]])
-    corr = _poly.mat_mul(
-        _poly.mat_mul([row[:m] for row in lift[m:]], adj11),
-        [row[m:] for row in lift[:m]],
-    )
-    s = [
-        [_poly.sub(_poly.mul(det11, a), b) for a, b in zip(row22, row_corr)]
-        for row22, row_corr in zip(l22, corr)
-    ]
-    return det11, s
+    cod_inv = _poly.mat_lift([_linalg.inverse(pair.codomain_frame())])
+    dom = _poly.mat_lift([pair.domain_frame()])
+    framed = _poly.mat_mul(_poly.mat_mul(cod_inv, curve.polynomial_lift()), dom)
+    return _poly.mat_eliminate(framed, curve.dim - pair.kernel_dim)
 
 
 def schur_operator(
@@ -425,10 +410,13 @@ def multiplicity_schur(
 ) -> MultiplicityReport:
     """Order of the local (Schur-block) determinant at the base point.
 
-    Works with ``S~ = det(L11)*S``: ``det L11`` is a unit at the base point,
-    so ``ord det S~ = ord det S``, and ``det S~`` is computed exactly over
-    Q[x].  ``det S`` is ``det L / det L11``, so its order is at most the
-    determinant degree bound unless it is the zero polynomial ("infinite").
+    Works with ``S~ = det(L11)*S``, the trailing block of a Bareiss
+    elimination of the framed curve stopped after ``L11``'s columns:
+    ``det L11`` is a unit at the base point, so ``ord det S~ = ord det S``,
+    and ``det S~`` is computed exactly over Q[x] by its own k x k
+    elimination.  ``det S`` is ``det L / det L11``, so its order is at most
+    the determinant degree bound unless it is the zero polynomial
+    ("infinite").
     The witness is ``det S~`` known through the bound (or through ``order``
     when given).
     """

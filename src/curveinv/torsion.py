@@ -430,11 +430,22 @@ def is_orientable(
 
     A class is orientable exactly when every twisting sign is +1, which is
     in turn equivalent to torsion value 1; both criteria are evaluated and
-    must agree.
+    must agree.  Every twisted class has ``1 - value >= 4 exp(-c) / plain``
+    (the ``m = +-1`` terms of the alternating sum), so where that gap is
+    within ``tol`` plus the error bound the torsion criterion cannot
+    decide, and the period is refused.
     """
     if torus is None:
         torus = FlatTorus(zeta.n)
     report = torsion_invariant(torus, zeta, cutoff)
+    c = torus.decay
+    gap = 4.0 * math.exp(-c) / _signed_gaussian_sum(c, False, cutoff)
+    if gap <= tol + report.error_bound:
+        raise PreconditionError(
+            f"at period {torus.period!r} a twisted class's torsion value can lie "
+            f"within {tol!r} of 1 (error bound included); the torsion criterion "
+            "cannot decide orientability"
+        )
     orientable = zeta.is_trivial()
     if orientable != (abs(report.value - 1.0) < tol):
         raise InternalConsistencyError(

@@ -1,4 +1,5 @@
-"""Shared deterministic generators for random curves, paths and matrices.
+"""Shared deterministic generators for random curves, paths and matrices,
+and a sympy oracle for polynomial matrices.
 
 Everything takes an explicit ``random.Random`` so the suites are
 reproducible; curves with a known multiplicity are built as products
@@ -170,6 +171,41 @@ def matrix_with_rational_spectrum(rng: random.Random, n: int):
     s = random_invertible(rng, n, span=3, dens=1)
     m = _linalg.matmul(_linalg.matmul(s, _linalg.freeze(t)), _linalg.inverse(s))
     return m, eigs
+
+
+def sympy_poly_matrix(m):
+    """A ``_poly`` matrix as a sympy DomainMatrix over QQ[t]."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ[sympy.Symbol("t")]
+
+    def entry(p):
+        coeffs = [sympy.QQ(c.numerator, c.denominator) for c in p]
+        return ring.ring.from_list(coeffs[::-1])  # highest power first
+
+    return DomainMatrix([[entry(p) for p in row] for row in m], (len(m), len(m)), ring)
+
+
+def sympy_schur_numerator(grid, steps):
+    """``(det B, det(B)*D - C*adj(B)*C')`` of a sympy DomainMatrix over
+    QQ[t], for its leading ``steps`` x ``steps`` block B, as ``_poly``
+    polynomials over Q."""
+
+    def poly(p):
+        return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in p.to_dense()[::-1])
+
+    n = grid.shape[0]
+    lead, rest = list(range(steps)), list(range(steps, n))
+    b, d = grid.extract(lead, lead), grid.extract(rest, rest)
+    # sympy's division-free Berkowitz characteristic polynomial; det() on
+    # sympy expressions gives the same values, but expanding them makes
+    # dims 5 and 6 take seconds each
+    det_b = b.charpoly()[-1] * (-1) ** steps
+    s = d.mul(det_b)
+    if steps:
+        s = s - grid.extract(rest, lead) * b.adjugate() * grid.extract(lead, rest)
+    return poly(det_b), [[poly(p) for p in row] for row in s.to_list()]
 
 
 @pytest.fixture

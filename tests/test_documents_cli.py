@@ -443,6 +443,25 @@ def test_orientable_command(capsys):
     code = main(["orientable", "--n", "1", "--signs=-1"])
     assert code == 0
     assert "not orientable" in capsys.readouterr().out
+    code = main(["orientable", "--n", "1", "--signs=-1", "--period", "7"])
+    assert code == 0
+    assert "not orientable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1", "--signs=-1", "--period", "11"],
+        ["--n", "1", "--signs=-1", "--period", "1e200"],
+        ["--n", "2", "--signs=-1,1", "--period", "12", "--tol", "1e-9"],
+    ],
+)
+def test_orientable_exits_3_where_the_torsion_criterion_cannot_decide(argv, capsys):
+    assert main(["orientable", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert captured.err.count("\n") == 1
 
 
 # -- output stability -------------------------------------------------------------------

@@ -9,14 +9,18 @@ from conftest import (
     matrix_with_rational_spectrum,
     random_invertible,
     random_rank_one_projection,
+    sympy_poly_matrix,
+    sympy_schur_numerator,
 )
-from curveinv import _linalg, fixtures
+from curveinv import _linalg, _poly, fixtures
 from curveinv.exactnum import Jet, SingularToKnownOrder, vanishing_order
 from curveinv.multiplicity import (
     InvalidProjectionPair,
     MatrixCurveJet,
     NotTransversal,
     PhiNotNormalized,
+    ProjectionPair,
+    _schur_numerator,
     algebraic_order,
     classical_multiplicity,
     is_kappa_transversal,
@@ -580,6 +584,53 @@ def test_laurent_witness_against_sympy_oracle(rng):
         for e in range(witness.known_through + 1):
             assert witness.coefficient(e) == (quotient[e - shift] if e >= shift else 0)
         checked += 1
+
+
+def _sympy_framed(curve, pair):
+    """The curve in the pair's frame, ``cod^-1 * L * dom``, in sympy."""
+    def const(m):
+        return sympy_poly_matrix(_poly.mat_lift([m]))
+
+    lift = sympy_poly_matrix(curve.polynomial_lift())
+    return const(_linalg.inverse(pair.codomain_frame())) * lift * const(pair.domain_frame())
+
+
+def test_schur_witness_against_sympy_oracle(rng):
+    # the witness is det S~, S~ = det(L11)*L22 - L21*adj(L11)*L12 in the
+    # pair's frame; every coefficient it stores must be exact
+    checked = 0
+    while checked < 20:
+        c, expected = curve_with_known_multiplicity(rng, n=rng.randint(1, 5), max_degree=5)
+        for flavor in ("leftmost", "rightmost"):
+            pair = projection_pair(c.constant_term(), flavor)
+            k = pair.kernel_dim
+            grid = sympy_schur_numerator(_sympy_framed(c, pair), c.dim - k)[1]
+            det_s = list(sympy_schur_numerator(sympy_poly_matrix(grid), k)[0])
+            witness = multiplicity_schur(c, pair).witness
+            det_s += [F(0)] * (witness.known_order + 1 - len(det_s))
+            assert witness.coeffs == tuple(det_s[: witness.known_order + 1])
+            assert vanishing_order(witness).value == expected
+        checked += 1
+
+
+def test_schur_block_with_a_pivot_swap_against_sympy_oracle():
+    # in the frame of this pair L11(0) = [[0, 1], [1, 0]], and L11's (0, 0)
+    # entry is the zero polynomial, so the elimination has to swap rows
+    e = [tuple(F(int(i == j)) for i in range(3)) for j in range(3)]
+    pair = ProjectionPair(
+        kernel_basis=(e[2],),
+        kernel_complement=(e[0], e[1]),
+        range_basis=(e[1], e[0]),
+        range_complement=(e[2],),
+    )
+    t = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
+    k1 = ((2, -1, 3), (0, 1, F(1, 2)), (1, 2, -1))
+    k2 = ((0, 1, 0), (0, 0, 1), (F(-1, 3), 0, 2))
+    curve = MatrixCurveJet(3, F(0), (t, k1, k2))
+    validate_projection_pair(t, pair)
+    det11, s = _schur_numerator(curve, pair)
+    assert (det11, s) == sympy_schur_numerator(_sympy_framed(curve, pair), 2)
+    assert multiplicity_schur(curve, pair).value == multiplicity_det(curve).value
 
 
 def test_classical_against_sympy_charpoly_oracle(rng):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from curveinv import fixtures, torsion
-from curveinv.errors import PreconditionError
+from curveinv.errors import InternalConsistencyError, PreconditionError
 from curveinv.torsion import (
     CutoffTooSmall,
     FlatTorus,
@@ -376,6 +376,35 @@ def test_nonorientable_twisted_circle():
 
 def test_nonorientable_single_negative():
     assert not is_orientable(Z2Homomorphism((1, -1, 1))).orientable
+
+
+@pytest.mark.parametrize(
+    "signs, period, tol",
+    [
+        ((-1,), 11.0, 1e-12),
+        ((-1,), 1e200, 1e-12),
+        ((-1, 1), 12.0, 1e-9),
+        ((1,), 11.0, 1e-12),
+    ],
+)
+def test_orientability_is_refused_where_twisted_values_reach_one(signs, period, tol):
+    # at decay c = period^2/4 every twisted class has 1 - value >= 4 e^-c / plain,
+    # which is within tol here: the torsion criterion cannot tell the classes apart
+    zeta = Z2Homomorphism(signs)
+    with pytest.raises(PreconditionError, match="cannot decide orientability"):
+        is_orientable(zeta, FlatTorus(len(signs), period=period), tol=tol)
+
+
+def test_orientability_disagreement_is_still_a_bug(monkeypatch):
+    real = torsion.torsion_invariant
+
+    def wrong(torus, zeta, cutoff):
+        report = real(torus, zeta, cutoff)
+        return torsion.TorsionReport(1.0, report.cutoff, 0.0, report.signs, torus)
+
+    monkeypatch.setattr(torsion, "torsion_invariant", wrong)
+    with pytest.raises(InternalConsistencyError):
+        is_orientable(Z2Homomorphism((-1,)))
 
 
 def test_orientability_equivalence_exhaustive():
