@@ -588,6 +588,7 @@ def test_laurent_witness_against_sympy_oracle(rng):
 
 def _sympy_framed(curve, pair):
     """The curve in the pair's frame, ``cod^-1 * L * dom``, in sympy."""
+
     def const(m):
         return sympy_poly_matrix(_poly.mat_lift([m]))
 
