@@ -4,9 +4,10 @@ Matrices are tuples of row tuples of ``Fraction``; columns/vectors are
 tuples of ``Fraction``.  One fraction-free elimination over Z, ``_echelon``,
 answers every question: ``rref`` (and through it rank, kernels, basis
 extensions and inverses) and ``det`` only read its integer rows, and only
-their outputs are rational.  Everything is deterministic: row reduction
-always picks the leftmost pivot, basis extensions scan the standard basis
-in a fixed direction.
+their outputs are rational.  Products go through ``_poly.mat_mul``, the
+one matrix product, on constant polynomials.  Everything is deterministic:
+row reduction always picks the leftmost pivot, basis extensions scan the
+standard basis in a fixed direction.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from . import _poly
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 
@@ -38,12 +41,11 @@ def shape(m: Matrix):
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = shape(a)
-    _, p = shape(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(p))
-        for i in range(n)
+    """Matrix product: ``_poly.mat_mul`` on constant polynomials."""
+    prod = _poly.mat_mul(
+        [[(x,) for x in row] for row in a], [[(x,) for x in row] for row in b]
     )
+    return tuple(tuple(Fraction(p[0]) if p else Fraction(0) for p in row) for row in prod)
 
 
 def madd(a: Matrix, b: Matrix) -> Matrix:

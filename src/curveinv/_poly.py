@@ -16,6 +16,17 @@ Schur complement of a leading block; ``mat_adjugate_det`` gives the
 adjugate modulo a power of x.  All operations are exact, no floating point
 anywhere.
 
+Every matrix product, polynomial or rational (``_linalg.matmul`` is its
+degree-0 case), is the one ``mat_mul``, by Kronecker substitution: the
+operands are scaled to integers, each entry is packed into one integer,
+its value at x = 2^w, and each output entry is one sum of big-integer
+products, whose w-bit signed digits are its coefficients.  The width
+``w = bits A + bits B + bits(k*l) + 1`` (largest coefficients ``A`` and
+``B``, inner dimension ``k``, shorter longest entry ``l``) keeps every
+output coefficient below 2^(w-1) in absolute value.  Its ring is that of
+``mat_adjugate_det``: integer operands give integer polynomials, a
+``Fraction`` anywhere gives ``Fraction``s, rescaled once.
+
 Tuples of coefficients are built from lists, not generators: CPython
 grows a tuple fed by a generator by repeated resizing, and with big-int
 coefficients that alone raised the peak memory of a long root isolation
@@ -357,18 +368,67 @@ def mat_coefficients(m: PolyMatrix) -> tuple:
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
-    """Matrix product; with ``cap``, every entry keeps only its
-    coefficients below x^cap."""
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if is_zero(a[i][t]):
-                continue
-            for j in range(m):
-                if not is_zero(b[t][j]):
-                    out[i][j] = add(out[i][j], mul(a[i][t], b[t][j], cap))
-    return out
+    """Matrix product by Kronecker substitution; with ``cap``, every entry
+    keeps only its coefficients below x^cap.
+
+    Each operand is scaled to integer coefficients once (by ``da`` and
+    ``db``), and each entry is packed into one integer, its value at
+    x = 2^w.  Every output entry is then one sum of ``k`` big-integer
+    products, for ``k`` the inner dimension.  Let ``A`` and ``B`` be the
+    largest |coefficient| of the scaled operands and ``l`` the shorter of
+    their longest entries.  A coefficient of an output entry is a sum of at
+    most ``k*l`` products, each below ``2^(bits A + bits B)``, so for
+    ``w = bits A + bits B + bits(k*l) + 1`` it lies below 2^(w-1) in
+    absolute value, and the packed product holds it as one signed w-bit
+    digit, read back from the low end with a borrow.  The ring is
+    ``mat_adjugate_det``'s: integer operands give integer polynomials; a
+    ``Fraction`` coefficient in either gives ``Fraction``s, rescaled once by
+    ``da*db``.
+    """
+    k, m = len(b), len(b[0]) if b else 0
+    ia, da = to_int_matrix(a)
+    ib, db = to_int_matrix(b)
+    la = max((len(p) for row in ia for p in row), default=0)
+    lb = max((len(p) for row in ib for p in row), default=0)
+    w = _max_bits(ia) + _max_bits(ib) + (k * min(la, lb)).bit_length() + 1
+    top = la + lb - 1 if cap is None else min(cap, la + lb - 1)
+    pa = [[_pack(p, w) for p in row] for row in ia]
+    pb = [[_pack(ib[t][j], w) for t in range(k)] for j in range(m)]
+    out = [
+        [_unpack(sum([x * y for x, y in zip(ra, cb)]), w, top) for cb in pb]
+        for ra in pa
+    ]
+    if all(type(c) is int for mat in (a, b) for row in mat for p in row for c in p):
+        return out
+    scale = da * db
+    return [[tuple([Fraction(c, scale) for c in p]) for p in row] for row in out]
+
+
+def _max_bits(m: PolyMatrix) -> int:
+    return max((abs(c) for row in m for p in row for c in p), default=0).bit_length()
+
+
+def _pack(p: Poly, w: int) -> int:
+    """p(2^w), by Horner."""
+    v = 0
+    for c in reversed(p):
+        v = (v << w) + c
+    return v
+
+
+def _unpack(v: int, w: int, top: int) -> Poly:
+    """The polynomial of at most ``top`` coefficients, each below 2^(w-1)
+    in absolute value, whose value at x = 2^w is v (mod 2^(w*top))."""
+    out = []
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    while v and len(out) < top:
+        c = v & mask
+        v >>= w
+        if c >= half:  # a negative digit borrows one from the next
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    return _trim(out)
 
 
 def mat_eliminate(m: PolyMatrix, steps: int):

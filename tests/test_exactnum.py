@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curveinv import _poly
+from curveinv import _linalg, _poly
 from curveinv.exactnum import (
     Jet,
     LaurentJet,
@@ -251,6 +251,84 @@ def test_capped_mul_is_truncated_product(coeffs, data):
     assert capped == _poly.poly(product[:cap])
     if all(isinstance(c, int) for c in a + b):
         assert all(type(c) is int for c in _poly.mul(a, b) + capped)
+
+
+# -- matrix products by Kronecker substitution ---------------------------------
+
+
+def _schoolbook(a, b, cap):
+    """The reference product over Fraction, one coefficient pair at a time."""
+    m = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(m):
+            acc = [F(0)] * 16
+            for t, p in enumerate(row):
+                for i, x in enumerate(p):
+                    for l, y in enumerate(b[t][j]):
+                        acc[i + l] += F(x) * y
+            out[-1].append(_poly.poly(acc[:cap]))
+    return out
+
+
+BIG = 2**200
+kron_coeffs = {
+    "int": st.integers(-BIG, BIG),
+    "fraction": st.builds(F, st.integers(-BIG, BIG), st.integers(1, 2**64)),
+}
+kron_coeffs["mixed"] = st.one_of(kron_coeffs["int"], kron_coeffs["fraction"])
+
+
+@st.composite
+def kronecker_operands(draw):
+    """``(a, b, cap)``: an n x k and a k x m polynomial matrix, some entries
+    zero, and a cap.  Some draws fill every coefficient of an operand with
+    one value of the form +-(2^b - 1), so that the products' sums reach the
+    width bound of the packing."""
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def operand(rows, cols):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([-1, 1])) * (2 ** draw(st.integers(1, 200)) - 1)
+            size = draw(st.integers(1, 4))
+            return [[(c,) * size for _ in range(cols)] for _ in range(rows)]
+        coeff = kron_coeffs[draw(st.sampled_from(sorted(kron_coeffs)))]
+        entry = st.one_of(st.just(()), st.lists(coeff, max_size=4).map(_poly._trim))
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    cap = draw(st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 12)))
+    return operand(n, k), operand(k, m), cap
+
+
+W = 2**64 - 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(kronecker_operands())
+# the coefficient 3 * W^2 needs the sign bit of the packing width
+@example(([[(W,)] * 3], [[(W,)]] * 3, None))
+# the digit -1 borrows from the digit above it
+@example(([[(-1, 1)]], [[(1,)]], None))
+# n x 0 times 0 x m, and 0 x k times k x m
+@example(([[], []], [], None))
+@example(([], [[(1,), (2,)]], 2))
+def test_mat_mul_is_the_schoolbook_product(operands):
+    a, b, cap = operands
+    got = _poly.mat_mul(a, b, cap)
+    assert [[_poly.poly(p) for p in row] for row in got] == _schoolbook(a, b, cap)
+    coeffs = [c for mat in (a, b) for row in mat for p in row for c in p]
+    ring = int if all(type(c) is int for c in coeffs) else F
+    assert all(type(c) is ring for row in got for p in row for c in p)
+    # the rational product is its degree-0 case, over Q whatever the input
+    ca, cb = (
+        tuple(tuple(F(p[0]) if p else F(0) for p in row) for row in mat)
+        for mat in (a, b)
+    )
+    prod = _linalg.matmul(ca, cb)
+    want = _schoolbook([[p[:1] for p in row] for row in a], b, 1)
+    assert prod == tuple(tuple(p[0] if p else F(0) for p in row) for row in want)
+    assert all(type(c) is F for row in prod for c in row)
 
 
 @settings(deadline=None)
