@@ -162,37 +162,41 @@ def curve_inputs(kind, seed, count):
 # outputs
 
 
-def _attempt(call, refusal):
-    try:
-        return call()
-    except refusal as exc:  # a documented refusal is part of the output
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _report_line(report):
     if isinstance(report, str):
         return report
     w = report.witness
-    return repr((report.kind, report.value, report.method, report.order_bound, repr(w), str(w)))
+    return repr(
+        (report.kind, report.value, report.method, report.order_bound, repr(w), str(w))
+    )
 
 
 def curve_dump(m, refusal, coeffs, base):
+    """The dump of one curve; ``m`` is the multiplicity module and
+    ``refusal`` the library's error base class."""
+
+    def attempt(call):
+        try:
+            return call()
+        except refusal as exc:  # a documented refusal is part of the output
+            return f"{type(exc).__name__}: {exc}"
+
     curve = m.MatrixCurveJet(len(coeffs[0]), base, tuple(coeffs))
     t = curve.constant_term()
     lines = [
-        _report_line(_attempt(lambda: m.multiplicity_det(curve), refusal)),
-        _report_line(_attempt(lambda: m.multiplicity_transversal(curve), refusal)),
-        repr(_attempt(lambda: m.algebraic_order(curve), refusal)),
+        _report_line(attempt(lambda: m.multiplicity_det(curve))),
+        _report_line(attempt(lambda: m.multiplicity_transversal(curve))),
+        repr(attempt(lambda: m.algebraic_order(curve))),
     ]
     for flavor in ("leftmost", "rightmost"):
         pair = m.projection_pair(t, flavor)
         pair_arg = None if flavor == "leftmost" else pair
         lines += [
             repr((pair.p, pair.q)),
-            _report_line(_attempt(lambda: m.multiplicity_schur(curve, pair_arg), refusal)),
-            _report_line(_attempt(lambda: m.multiplicity_laurent(curve, pair_arg), refusal)),
-            repr(_attempt(lambda: m.schur_operator(curve, pair_arg), refusal)),
-            repr(_attempt(lambda: m.local_determinant(curve, pair_arg), refusal)),
+            _report_line(attempt(lambda: m.multiplicity_schur(curve, pair_arg))),
+            _report_line(attempt(lambda: m.multiplicity_laurent(curve, pair_arg))),
+            repr(attempt(lambda: m.schur_operator(curve, pair_arg))),
+            repr(attempt(lambda: m.local_determinant(curve, pair_arg))),
         ]
     return "\n".join(lines)
 
@@ -215,8 +219,11 @@ def fixture_dump(root: Path) -> str:
             )
             written = report.read_text() if report.exists() else None
             # the fixture paths differ between checkouts
-            out = (proc.stdout + proc.stderr).replace(str(fixtures), "<fixtures>")
-            parts.append(repr((command, proc.returncode, out, written)))
+            outputs = [
+                None if text is None else text.replace(str(fixtures), "<fixtures>")
+                for text in (proc.stdout, proc.stderr, written)
+            ]
+            parts.append(repr((command, proc.returncode, *outputs)))
     return "\n".join(parts)
 
 
