@@ -371,8 +371,8 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     """Matrix product by Kronecker substitution; with ``cap``, every entry
     keeps only its coefficients below x^cap.
 
-    Each operand is scaled to integer coefficients once (by ``da`` and
-    ``db``), and each entry is packed into one integer, its value at
+    Rational operands are scaled to integer coefficients once (by ``da``
+    and ``db``), and each entry is packed into one integer, its value at
     x = 2^w.  Every output entry is then one sum of ``k`` big-integer
     products, for ``k`` the inner dimension.  Let ``A`` and ``B`` be the
     largest |coefficient| of the scaled operands and ``l`` the shorter of
@@ -386,8 +386,11 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     ``da*db``.
     """
     k, m = len(b), len(b[0]) if b else 0
-    ia, da = to_int_matrix(a)
-    ib, db = to_int_matrix(b)
+    integral = all(
+        type(c) is int for mat in (a, b) for row in mat for p in row for c in p
+    )
+    ia, da = (a, 1) if integral else to_int_matrix(a)
+    ib, db = (b, 1) if integral else to_int_matrix(b)
     la = max((len(p) for row in ia for p in row), default=0)
     lb = max((len(p) for row in ib for p in row), default=0)
     w = _max_bits(ia) + _max_bits(ib) + (k * min(la, lb)).bit_length() + 1
@@ -398,7 +401,7 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
         [_unpack(sum([x * y for x, y in zip(ra, cb)]), w, top) for cb in pb]
         for ra in pa
     ]
-    if all(type(c) is int for mat in (a, b) for row in mat for p in row for c in p):
+    if integral:
         return out
     scale = da * db
     return [[tuple([Fraction(c, scale) for c in p]) for p in row] for row in out]
