@@ -16,6 +16,15 @@ Schur complement of a leading block; ``mat_adjugate_det`` gives the
 adjugate modulo a power of x.  All operations are exact, no floating point
 anywhere.
 
+Root isolation runs on integers.  One homogeneous Horner loop,
+``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
+evaluation: ``eval_at`` is its ``Fraction`` reading, divided by d^deg
+once, and a Sturm sign is its sign, never divided, as d > 0.  The
+bisection of ``count_roots_open`` and ``isolate_roots`` keeps each point
+as an integer N over q 2^e, with q the lcm of the endpoints' denominators,
+and halves an interval by adding numerators; only a reported root or
+bracket becomes a ``Fraction``.
+
 Every matrix product, polynomial or rational (``_linalg.matmul`` is its
 degree-0 case), is the one ``mat_mul``, by Kronecker substitution: the
 operands are scaled to integers, each entry is packed into one integer,
@@ -114,20 +123,27 @@ def mul(a: Poly, b: Poly, cap: int | None = None) -> Poly:
     return _trim(out)
 
 
-def eval_at(p: Poly, x) -> Fraction:
-    """p(x) at a rational x = n/d, by homogeneous Horner.
+def eval_numerator(p: Poly, n: int, d: int):
+    """The numerator of p(n/d) over d^deg, by homogeneous Horner.
 
     The loop builds sum c_i n^i d^(deg-i), which stays in the coefficients'
-    ring (plain ints for an integer p), and divides by d^deg once.
+    ring (plain ints for an integer p); for d > 0 its sign is that of
+    p(n/d).  The zero polynomial gives 0.
     """
     if not p:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
+        return 0
     acc, dk = p[-1], 1
     for c in p[-2::-1]:
         dk *= d
         acc = acc * n + c * dk
-    return Fraction(acc, dk)
+    return acc
+
+
+def eval_at(p: Poly, x) -> Fraction:
+    """p(x) at a rational x = n/d: ``eval_numerator(p, n, d)`` divided by
+    d^deg once."""
+    d = x.denominator
+    return Fraction(eval_numerator(p, x.numerator, d), d ** max(len(p) - 1, 0))
 
 
 def derivative(p: Poly) -> Poly:
@@ -252,25 +268,42 @@ def sturm_chain(p: Poly):
     return chain if chain[-1] else chain[:-1]
 
 
-def _variations(chain, x, px) -> int:
-    """Sign variations of the chain at x, given ``px``, the value there of
-    ``chain[0]`` (the caller has already evaluated it)."""
+def _variations(chain, n: int, d: int, pn) -> int:
+    """Sign variations of the chain at n/d (d > 0), given ``pn``, the
+    numerator ``eval_numerator(chain[0], n, d)`` (the caller has already
+    evaluated it)."""
     signs = []
-    for v in (px, *(eval_at(q, x) for q in chain[1:])):
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    for v in (pn, *[eval_numerator(q, n, d) for q in chain[1:]]):
+        if v:
+            signs.append(v > 0)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots_open(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in (a, b); requires p(a), p(b) != 0."""
+def _sturm_endpoints(p: Poly, a, b):
+    """The Sturm chain of p, q = lcm(den a, den b), and the integer
+    numerators ``a*q``, ``b*q`` of the endpoints over q with their
+    variations; raises ValueError unless a < b and neither is a root."""
     a, b = Fraction(a), Fraction(b)
+    if a >= b:
+        raise ValueError(f"the interval ({a}, {b}) must satisfy a < b")
     chain = sturm_chain(p)
-    # chain[0] is a positive multiple of p: the same signs and zeros
-    pa, pb = eval_at(chain[0], a), eval_at(chain[0], b)
-    if pa == 0 or pb == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    return _variations(chain, a, pa) - _variations(chain, b, pb)
+    q = math.lcm(a.denominator, b.denominator)
+    ends = []
+    for x in (a, b):
+        n = x.numerator * (q // x.denominator)
+        # chain[0] is a positive multiple of p: the same signs and zeros
+        pn = eval_numerator(chain[0], n, q)
+        if pn == 0:
+            raise ValueError(f"the endpoint {x} is a root")
+        ends += [n, _variations(chain, n, q, pn)]
+    return chain, q, ends
+
+
+def count_roots_open(p: Poly, a, b) -> int:
+    """Number of distinct real roots of p in (a, b); requires a < b and
+    p(a), p(b) != 0."""
+    _, _, (_, va, _, vb) = _sturm_endpoints(p, a, b)
+    return va - vb
 
 
 @dataclass(frozen=True)
@@ -303,42 +336,50 @@ class RootLocation:
 def isolate_roots(p: Poly, a, b):
     """Locations of the distinct real roots of a square-free p in (a, b).
 
-    One Sturm chain drives the bisection.  A midpoint that is a root is
-    reported exactly and splits its interval in two; the other roots come
-    back as isolating intervals, halved ``REFINE_STEPS`` times once they
-    are isolated.  Sorted by position.
+    One Sturm chain drives the bisection, on integers: with q = lcm(den a,
+    den b), every point is a pair (N, e) standing for N / (q 2^e), the
+    endpoints are (a q, 0) and (b q, 0), and the midpoint of (lo, e) and
+    (hi, e) is (lo + hi, e + 1).  Signs are those of the numerators
+    ``eval_numerator``, never divided, as q 2^e > 0.  A midpoint that is a
+    root is reported exactly and splits its interval in two; the other
+    roots come back as isolating intervals, halved ``REFINE_STEPS`` times
+    once they are isolated.  Only reported points become ``Fraction``s,
+    equal to the midpoints ``(lo + hi) / 2`` of a bisection on
+    ``Fraction``s.  Sorted by position.  Requires a < b and p(a), p(b) != 0,
+    and raises ValueError otherwise or when p has a repeated root.
     """
-    a, b = Fraction(a), Fraction(b)
-    chain = sturm_chain(p)
-    # chain[0] is a positive multiple of p: the same signs and zeros
-    pa, pb = eval_at(chain[0], a), eval_at(chain[0], b)
-    if pa == 0 or pb == 0:
-        raise ValueError("isolation endpoints must not be roots")
+    chain, q, (na, va, nb, vb) = _sturm_endpoints(p, a, b)
+    # the chain ends in gcd(p, p'): a repeated root on a midpoint would
+    # leave no sign there, and the counts would go wrong
+    if degree(chain[-1]) > 0:
+        raise ValueError("root isolation needs a square-free polynomial")
     roots = []
-    # (lo, hi, vlo, vhi, steps): vlo - vhi roots lie in the open (lo, hi),
-    # which has been halved ``steps`` times since it held a single root
-    stack = [(a, b, _variations(chain, a, pa), _variations(chain, b, pb), 0)]
+    # (lo, hi, e, vlo, vhi, steps): the interval (lo, hi) / (q 2^e) holds
+    # vlo - vhi roots, and has been halved ``steps`` times since it held
+    # a single root
+    stack = [(na, nb, 0, va, vb, 0)]
     while stack:
-        lo, hi, vlo, vhi, steps = stack.pop()
+        lo, hi, e, vlo, vhi, steps = stack.pop()
         count = vlo - vhi
         if count == 0:
             continue
-        mid = (lo + hi) / 2
-        pmid = eval_at(chain[0], mid)
+        mid, d = lo + hi, q << (e + 1)
+        pmid = eval_numerator(chain[0], mid, d)
         if pmid == 0:
-            roots.append(RootLocation(lo=mid, hi=mid, exact=mid))
+            x = Fraction(mid, d)
+            roots.append(RootLocation(lo=x, hi=x, exact=x))
             if count > 1:
-                vmid = _variations(chain, mid, pmid)
+                vmid = _variations(chain, mid, d, pmid)
                 # across a simple root the sign sequence loses one variation
-                stack.append((lo, mid, vlo, vmid + 1, 0))
-                stack.append((mid, hi, vmid, vhi, 0))
+                stack.append((2 * lo, mid, e + 1, vlo, vmid + 1, 0))
+                stack.append((mid, 2 * hi, e + 1, vmid, vhi, 0))
         elif steps == REFINE_STEPS:
-            roots.append(RootLocation(lo=lo, hi=hi))
+            roots.append(RootLocation(lo=Fraction(lo, q << e), hi=Fraction(hi, q << e)))
         else:
-            vmid = _variations(chain, mid, pmid)
+            vmid = _variations(chain, mid, d, pmid)
             steps = steps + 1 if count == 1 else 0
-            stack.append((lo, mid, vlo, vmid, steps))
-            stack.append((mid, hi, vmid, vhi, steps))
+            stack.append((2 * lo, mid, e + 1, vlo, vmid, steps))
+            stack.append((mid, 2 * hi, e + 1, vmid, vhi, steps))
     roots.sort(key=RootLocation.midpoint)
     return roots
 

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_with_known_multiplicity, random_admissible_path
-from curveinv import _linalg, fixtures
+from curveinv import _linalg, _poly, fixtures
 from curveinv.exactnum import SingularToKnownOrder
 from curveinv.multiplicity import MatrixCurveJet, pointwise_product
 from curveinv.parity import (
@@ -308,8 +310,6 @@ def test_root_machinery_against_sympy_oracle(rng):
 
     import sympy
 
-    from curveinv import _poly
-
     x = sympy.Symbol("x")
 
     def rational(c):
@@ -386,16 +386,19 @@ def test_root_machinery_against_sympy_oracle(rng):
 
 
 def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
-    from curveinv import _poly
-
     chains = []
     build = _poly.sturm_chain
     monkeypatch.setattr(_poly, "sturm_chain", lambda p: chains.append(p) or build(p))
-    # p is evaluated once per point, its value shared by the root test and
-    # the chain's sign sequence
+    # p is evaluated once per point, its sign shared by the root test and
+    # the chain's sign sequence; a point n/d is recorded by its value, as
+    # the bisection's (N, q 2^e) pairs are not reduced
     points = []
-    evaluate = _poly.eval_at
-    monkeypatch.setattr(_poly, "eval_at", lambda q, x: points.append((q, x)) or evaluate(q, x))
+    evaluate = _poly.eval_numerator
+    monkeypatch.setattr(
+        _poly,
+        "eval_numerator",
+        lambda q, n, d: points.append((q, F(n, d))) or evaluate(q, n, d),
+    )
     # exact roots 0 and +-1/2 fall on bisection midpoints of (-1, 1), and
     # +-sqrt(2/3) sit in the intervals they split off
     p = _poly.poly((0, F(1, 6), 0, F(-11, 12), 0, 1))  # x (x^2 - 1/4) (x^2 - 2/3)
@@ -408,10 +411,117 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
         assert r.hi - r.lo == F(1, 2**17)
 
 
+def _fraction_value(q, x):
+    """q(x) by rational Horner."""
+    acc = F(0)
+    for c in reversed(q):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_variations(chain, x):
+    """Sign variations of a Sturm chain at a ``Fraction`` x."""
+    signs = [v > 0 for v in (_fraction_value(q, x) for q in chain) if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _fraction_bisection(p, a, b):
+    """``isolate_roots`` of a square-free p on (a, b), bisecting on
+    ``Fraction`` points with midpoints ``(lo + hi) / 2``."""
+    chain = _poly.sturm_chain(p)
+    roots = []
+    stack = [(a, b, _fraction_variations(chain, a), _fraction_variations(chain, b), 0)]
+    while stack:
+        lo, hi, vlo, vhi, steps = stack.pop()
+        count = vlo - vhi
+        if count == 0:
+            continue
+        mid = (lo + hi) / 2
+        if _fraction_value(chain[0], mid) == 0:
+            roots.append(_poly.RootLocation(lo=mid, hi=mid, exact=mid))
+            if count > 1:
+                vmid = _fraction_variations(chain, mid)
+                stack.append((lo, mid, vlo, vmid + 1, 0))
+                stack.append((mid, hi, vmid, vhi, 0))
+        elif steps == _poly.REFINE_STEPS:
+            roots.append(_poly.RootLocation(lo=lo, hi=hi))
+        else:
+            vmid = _fraction_variations(chain, mid)
+            steps = steps + 1 if count == 1 else 0
+            stack.append((lo, mid, vlo, vmid, steps))
+            stack.append((mid, hi, vmid, vhi, steps))
+    roots.sort(key=_poly.RootLocation.midpoint)
+    return roots
+
+
+@st.composite
+def bisection_cases(draw):
+    """``(p, a, b)``: an interval with independent small denominators (so
+    lcm(den a, den b) is rarely 1 or a power of 2) and a polynomial of
+    degree <= 8 whose rational roots lie on the interval's bisection
+    midpoints or at random rationals, times a random factor; neither
+    endpoint is a root."""
+    ends = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    a = draw(ends)
+    b = draw(ends.filter(lambda x: x != a))
+    a, b = min(a, b), max(a, b)
+    midpoints = st.builds(
+        lambda k, e: a + (b - a) * F(k, 2**e), st.integers(1, 63), st.integers(1, 6)
+    )
+    p = _poly.ONE
+    for r in draw(st.lists(st.one_of(midpoints, ends), max_size=4)):
+        p = _poly.mul(p, (-r, F(1)))
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    cap = 8 - _poly.degree(p)
+    p = _poly.mul(p, _poly.poly(draw(st.lists(small, min_size=1, max_size=cap + 1))))
+    assume(not _poly.is_zero(p) and _poly.eval_at(p, a) and _poly.eval_at(p, b))
+    return p, a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(bisection_cases())
+# on (-2/3, 5/7) the first midpoint 1/42 and the quarter point -9/28 are
+# roots, and x^2 - 1/3 puts two irrational roots in the intervals they split
+@example(
+    (
+        _poly.mul(_poly.mul((F(-1, 42), F(1)), (F(9, 28), F(1))), (F(-1, 3), 0, F(1))),
+        F(-2, 3),
+        F(5, 7),
+    )
+)
+def test_integer_bisection_matches_fraction_bisection(case):
+    p, a, b = case
+    # the counts hold for any p; the locations need a square-free one
+    chain = _poly.sturm_chain(p)
+    want = _fraction_variations(chain, a) - _fraction_variations(chain, b)
+    assert _poly.count_roots_open(p, a, b) == want
+    squarefree = _poly.div_exact(_poly.primitive(p), _poly.gcd(p, _poly.derivative(p)))
+    want = _fraction_bisection(squarefree, a, b)
+    got = _poly.isolate_roots(squarefree, a, b)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert _poly.count_roots_open(squarefree, a, b) == len(got)
+
+
+@pytest.mark.parametrize("a, b", [(1, -1), (F(1, 3), F(1, 3)), (F(5, 7), F(-2, 3))])
+def test_root_isolation_refuses_an_empty_interval(a, b):
+    p = _poly.poly((F(-2, 3), 0, 1))  # x^2 - 2/3: no root at either endpoint
+    with pytest.raises(ValueError, match="a < b"):
+        _poly.isolate_roots(p, a, b)
+    with pytest.raises(ValueError, match="a < b"):
+        _poly.count_roots_open(p, a, b)
+
+
+def test_root_isolation_refuses_a_repeated_root():
+    # x^2 (x - 1/3): the double root 0 is the first midpoint of (-1, 1),
+    # where no member of the chain has a sign; the count is still right
+    p = _poly.mul((0, 0, 1), (F(-1, 3), 1))
+    assert _poly.count_roots_open(p, -1, 1) == 2
+    with pytest.raises(ValueError, match="square-free"):
+        _poly.isolate_roots(p, -1, 1)
+
+
 def test_sturm_chain_is_primitive_classical_sequence(rng):
     from math import gcd
-
-    from curveinv import _poly
 
     def remainder(a, b):
         r = list(a)

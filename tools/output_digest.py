@@ -15,7 +15,11 @@ pair and with an explicit rightmost pair), a route's exception where it
 raises one, and the ``repr`` of ``algebraic_order``, of both pairs' ``P``
 and ``Q``, of ``schur_operator`` and of ``local_determinant``.  For every
 fixture command it holds the exit code, stdout, stderr and the ``--json``
-report of one ``curveinv`` process.
+report of one ``curveinv`` process.  For every path it holds the
+``repr`` of the ``ParityValue`` of ``interval_parity``,
+``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
+their root locations), or the refusal a route raises
+(``NonTransversalCrossing`` on a repeated root).
 
 The curves are the benchmark's ``curves-mixed`` (seed 4001, first 200
 curves; seed 11, all 500) and ``curves-large`` (seeds 9 and 4001) inputs:
@@ -23,7 +27,14 @@ the pinned shapes are replayed from the reference seeds (12345 and 9)
 and the entries drawn at the set's seed, draw for draw as the benchmark
 and the test generators do.  The generator is written out here on plain
 ``Fraction`` tuples, so the inputs depend neither on the library's
-arithmetic nor on the benchmark's code.
+arithmetic nor on the benchmark's code.  The paths are the benchmark's
+``parity-paths`` inputs, the criterion-4 mix on (-1, 1) at seeds 777 (the
+acceptance paths) and 4001: the shapes are replayed from seed 777, the
+structured draws come from the set's seed and the random draws from seed
+777, as in the benchmark.  A third set takes the seed-11 mix onto
+intervals drawn at seed 11 with small unequal denominators, such as
+(-2/3, 5/7), so the root isolation runs on endpoints that are not
+integers; a path singular at a drawn endpoint is left out.
 """
 
 from __future__ import annotations
@@ -44,6 +55,12 @@ CURVE_SETS = (
     ("curves-mixed-11", "mixed", 11, 500),
     ("curves-large-9", "large", 9, None),
     ("curves-large-4001", "large", 4001, None),
+)
+PATHS_SEED, PATHS_COUNT = 777, 301
+PATH_SETS = (
+    ("parity-paths-777", 777, False),
+    ("parity-paths-4001", 4001, False),
+    ("parity-paths-11-rational-ends", 11, True),
 )
 FIXTURE_COMMANDS = (
     ("chi", "--method", "all", "--curve", "np_curve.json"),
@@ -84,12 +101,15 @@ def _is_singular(a) -> bool:
     return False
 
 
-def _unit_curve(rng, n, degree):
+def _invertible(rng, n):
     while True:
-        const = _matrix(rng, n, 4, 1)
-        if not _is_singular(const):
-            break
-    return [const] + [_matrix(rng, n, 2, 1) for _ in range(degree)]
+        m = _matrix(rng, n, 4, 1)
+        if not _is_singular(m):
+            return m
+
+
+def _unit_curve(rng, n, degree):
+    return [_invertible(rng, n)] + [_matrix(rng, n, 2, 1) for _ in range(degree)]
 
 
 def _convolve(a, b, n):
@@ -159,6 +179,88 @@ def curve_inputs(kind, seed, count):
 
 
 # ---------------------------------------------------------------------------
+# inputs: the criterion-4 paths
+
+
+def _draw_path_shape(rng):
+    n = rng.randint(1, 5)
+    if rng.random() < 0.7:
+        return n, True, rng.randint(0, 3)
+    return n, False, rng.randint(0, 6)
+
+
+def _path_coefficients(rng, shape):
+    """A random matrix polynomial, or A diag(lam - c_i) B with constant
+    invertible A, B and distinct c_i in {-7/8, ..., 7/8}."""
+    n, structured, count = shape
+    if not structured:
+        return [_matrix(rng, n, 2, 1) for _ in range(count + 1)]
+    roots = []
+    while len(roots) < count:
+        c = Fraction(rng.randint(-7, 7), 8)
+        if c not in roots and -1 < c < 1:
+            roots.append(c)
+    left, right = _invertible(rng, n), _invertible(rng, n)
+    coeffs = [tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))]
+    for c in roots[:n]:
+        # multiply a diagonal factor (lam - c) into one random slot
+        slot = rng.randrange(n)
+
+        def entry(i, j, k):
+            if i != j:
+                return Fraction(0)
+            if i == slot:
+                return -c if k == 0 else Fraction(1)
+            return Fraction(1 - k)
+
+        factor = [
+            tuple(tuple(entry(i, j, k) for j in range(n)) for i in range(n))
+            for k in range(2)
+        ]
+        coeffs = _convolve(coeffs, factor, n)
+    return _convolve(_convolve([left], coeffs, n), [right], n)
+
+
+def _is_admissible(coeffs, a, b):
+    n = len(coeffs[0])
+    for lam in (a, b):
+        value = [[Fraction(0)] * n for _ in range(n)]
+        for mat in reversed(coeffs):
+            value = [[v * lam + m for v, m in zip(vr, mr)] for vr, mr in zip(value, mat)]
+        if _is_singular(value):
+            return False
+    return True
+
+
+def path_inputs(seed, rational_ends):
+    """``(coefficients, a, b)`` of the set's paths."""
+    rng = random.Random(PATHS_SEED)
+    shapes, accepted = [], 0
+    while accepted < PATHS_COUNT:
+        shapes.append(_draw_path_shape(rng))
+        accepted += _is_admissible(
+            _path_coefficients(rng, shapes[-1]), Fraction(-1), Fraction(1)
+        )
+    rng, ref = random.Random(seed), random.Random(PATHS_SEED)
+    ends = random.Random(seed)
+    out = []
+    for shape in shapes:
+        _draw_path_shape(rng)
+        _draw_path_shape(ref)
+        coeffs = _path_coefficients(rng, shape)
+        ref_coeffs = _path_coefficients(ref, shape)
+        if not shape[1]:
+            coeffs = ref_coeffs
+        a, b = Fraction(-1), Fraction(1)
+        if rational_ends:
+            a = Fraction(-ends.randint(1, 12), ends.randint(7, 12))
+            b = Fraction(ends.randint(1, 12), ends.randint(7, 12))
+        if _is_admissible(coeffs, a, b):
+            out.append((coeffs, a, b))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # outputs
 
 
@@ -201,6 +303,18 @@ def curve_dump(m, refusal, coeffs, base):
     return "\n".join(lines)
 
 
+def path_dump(p, refusal, coeffs, a, b):
+    """The dump of one path; ``p`` is the parity module."""
+    path = p.PolynomialPath(len(coeffs[0]), a, b, tuple(coeffs))
+    lines = []
+    for route in (p.interval_parity, p.crossing_parity, p.multiplicity_sum_parity):
+        try:
+            lines.append(repr(route(path)))
+        except refusal as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
 def fixture_dump(root: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     fixtures = root / "tests" / "fixtures"
@@ -237,7 +351,7 @@ def main(argv=None) -> int:
         print(f"no curveinv source under {root / 'src'}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(root / "src"))
-    from curveinv import multiplicity
+    from curveinv import multiplicity, parity
     from curveinv.errors import CurveInvError
 
     whole = hashlib.sha256()
@@ -245,6 +359,13 @@ def main(argv=None) -> int:
         dump = "\n".join(
             curve_dump(multiplicity, CurveInvError, coeffs, base)
             for coeffs, base in curve_inputs(kind, seed, count)
+        )
+        whole.update(dump.encode())
+        print(name, hashlib.sha256(dump.encode()).hexdigest(), flush=True)
+    for name, seed, rational_ends in PATH_SETS:
+        dump = "\n".join(
+            path_dump(parity, CurveInvError, *path)
+            for path in path_inputs(seed, rational_ends)
         )
         whole.update(dump.encode())
         print(name, hashlib.sha256(dump.encode()).hexdigest(), flush=True)
