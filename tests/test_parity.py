@@ -457,7 +457,7 @@ def _fraction_bisection(p, a, b):
 @st.composite
 def bisection_cases(draw):
     """``(p, a, b)``: an interval with independent small denominators (so
-    lcm(den a, den b) is rarely 1 or a power of 2) and a polynomial of
+    lcm(den a, den b) is mostly not a power of 2) and a polynomial of
     degree <= 8 whose rational roots lie on the interval's bisection
     midpoints or at random rationals, times a random factor; neither
     endpoint is a root."""

@@ -226,7 +226,9 @@ def _is_admissible(coeffs, a, b):
     for lam in (a, b):
         value = [[Fraction(0)] * n for _ in range(n)]
         for mat in reversed(coeffs):
-            value = [[v * lam + m for v, m in zip(vr, mr)] for vr, mr in zip(value, mat)]
+            value = [
+                [v * lam + m for v, m in zip(vr, mr)] for vr, mr in zip(value, mat)
+            ]
         if _is_singular(value):
             return False
     return True
