@@ -48,14 +48,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(Fraction(p[0]) if p else Fraction(0) for p in row) for row in prod)
 
 
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def msub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
     """The matrix polynomial sum_k coeffs[k] * x**k, by Horner's rule."""
     x = Fraction(x)
@@ -70,11 +62,6 @@ def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
 def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:
     """Matrix whose columns are the given vectors (empty list allowed)."""
     return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
-
-
-def columns(a: Matrix) -> list:
-    n, m = shape(a)
-    return [tuple(a[i][j] for i in range(n)) for j in range(m)]
 
 
 def _echelon(a: Matrix):
@@ -148,11 +135,6 @@ def kernel_basis(a: Matrix) -> list:
     return basis
 
 
-def column_space_pivots(a: Matrix) -> list:
-    """Pivot column indices; the corresponding columns of ``a`` span R[a]."""
-    return rref(a)[1]
-
-
 def extend_to_basis(cols: Sequence[Sequence[Fraction]], n: int, reverse: bool = False):
     """Complete independent columns to a basis of Q^n with standard vectors.
 
@@ -188,7 +170,3 @@ def det(a: Matrix) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     _, pivots, sign, prev, scale = _echelon(a)
     return Fraction(sign * prev, scale) if len(pivots) == n else Fraction(0)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(c == 0 for row in a for c in row)

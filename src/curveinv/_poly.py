@@ -391,9 +391,10 @@ PolyMatrix = list  # list[list[Poly]]
 
 
 def mat_lift(coeffs) -> PolyMatrix:
-    """Polynomial matrix whose entry (i, j) has coefficients coeffs[k][i][j]."""
+    """Polynomial matrix whose entry (i, j) has coefficients coeffs[k][i][j],
+    taken as they are: ``Fraction`` matrices give a rational lift."""
     return [
-        [poly(mat[i][j] for mat in coeffs) for j in range(len(row))]
+        [_trim([mat[i][j] for mat in coeffs]) for j in range(len(row))]
         for i, row in enumerate(coeffs[0])
     ]
 

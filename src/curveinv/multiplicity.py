@@ -19,6 +19,7 @@ All functions are pure and all values immutable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,9 +176,8 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
     kernel = _linalg.kernel_basis(t)
     if reverse:
         kernel = list(reversed(kernel))
-    pivots = _linalg.column_space_pivots(t)
-    cols = _linalg.columns(t)
-    range_b = [cols[j] for j in pivots]
+    pivots = _linalg.rref(t)[1]
+    range_b = [tuple(row[j] for row in t) for j in pivots]
     kernel_complement = [
         tuple(Fraction(1) if i == j else Fraction(0) for i in range(n)) for j in pivots
     ]
@@ -194,26 +194,26 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
 
 
 def _projection_onto(target_cols, complement_cols, n) -> _linalg.Matrix:
-    """Projection with range span(target) and kernel span(complement)."""
-    basis = _linalg.hstack(list(complement_cols) + list(target_cols), n)
-    inv = _linalg.inverse(basis)
+    """Projection with range span(target) and kernel span(complement): the
+    target columns times the target rows of the inverse basis.  An empty
+    target is the zero matrix, as an n x 0 product carries no width."""
     k = len(target_cols)
-    m = n - k
-    sel = tuple(
-        tuple(Fraction(1) if (i == j and i >= m) else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    return _linalg.matmul(basis, _linalg.matmul(sel, inv))
+    if k == 0:
+        return _linalg.zeros(n, n)
+    inv = _linalg.inverse(_linalg.hstack([*complement_cols, *target_cols], n))
+    return _linalg.matmul(_linalg.hstack(target_cols, n), inv[n - k :])
 
 
 def validate_projection_pair(t: _linalg.Matrix, pair: ProjectionPair) -> None:
     """Raise InvalidProjectionPair unless the pair fits T exactly."""
     t = _linalg.freeze(t)
     n = len(t)
+    if pair.dim != n:
+        raise InvalidProjectionPair(f"the pair has dimension {pair.dim}, T has {n}")
     p, q = pair.p, pair.q
     if _linalg.matmul(p, p) != p or _linalg.matmul(q, q) != q:
         raise InvalidProjectionPair("P and Q must be idempotent")
-    if not _linalg.is_zero_matrix(_linalg.matmul(t, p)):
+    if any(c for row in _linalg.matmul(t, p) for c in row):
         raise InvalidProjectionPair("range of P must lie in Ker[T]")
     if _linalg.matmul(q, t) != t:
         raise InvalidProjectionPair("Q must restrict to the identity on R[T]")
@@ -517,63 +517,71 @@ def multiplicity_laurent(
 # Route 4: transversal eigenvalues
 
 
+def _kernel_chain(curve: MatrixCurveJet):
+    """K_1, ..., K_{degree+1}, lazily: one elimination of the coefficient
+    stack per level, each level stacking one more coefficient."""
+    stacked: list = []
+    for c in curve.coefficients:
+        stacked.extend(c)
+        yield tuple(_linalg.kernel_basis(tuple(stacked)))
+
+
+def _certificates(curve: MatrixCurveJet):
+    """The certificates at kappa = 1..degree, lazily; each extends the
+    last by the pivot columns of the image of K_kappa under L_kappa."""
+    n = curve.dim
+    t = curve.constant_term()
+    range_cols = [tuple(row[j] for row in t) for j in _linalg.rref(t)[1]]
+    image_cols: list = []
+    image_dims: list = []
+    # the coefficients come first, so zip stops before the chain's extra level
+    levels = zip(curve.coefficients[1:], _kernel_chain(curve))
+    for kappa, (lk, basis) in enumerate(levels, start=1):
+        mapped = _linalg.matmul(lk, _linalg.hstack(basis, n))
+        image = [tuple(row[j] for row in mapped) for j in _linalg.rref(mapped)[1]]
+        image_dims.append(len(image))
+        image_cols.extend(image)
+        assembled = _linalg.hstack(image_cols + range_cols, n)
+        r = _linalg.rank(assembled)
+        total = len(image_cols) + len(range_cols)
+        yield TransversalityCertificate(
+            holds=bool(image) and r == total == n,
+            kappa=kappa,
+            image_dims=tuple(image_dims),
+            assembled_matrix=assembled,
+            assembled_rank=r,
+            last_image_nonzero=bool(image),
+        )
+
+
 def nested_kernels(curve: MatrixCurveJet, upto: int):
     """Bases of the nested kernel intersections K_1 .. K_upto.
 
     ``K_j`` is the common kernel of the first j coefficient matrices,
     computed exactly; the sequence is weakly decreasing.  Depth j uses
     coefficients 0..j-1, so degree + 1 is the deepest admissible level.
+    The bases are read off the transversality certificates' walk.
     """
     if upto > curve.degree + 1:
         raise ValueError("requested depth exceeds the stored derivatives")
-    out = []
-    stacked: list = []
-    for j in range(1, upto + 1):
-        stacked.extend(curve.coefficients[j - 1])
-        out.append(tuple(_linalg.kernel_basis(_linalg.freeze(stacked))))
-    return out
+    return list(itertools.islice(_kernel_chain(curve), max(upto, 0)))
 
 
 def is_kappa_transversal(curve: MatrixCurveJet, kappa: int) -> TransversalityCertificate:
-    """Exact rank certificate for transversality at the given order."""
+    """Exact rank certificate for transversality at the given order: the
+    kappa-th step of the walk up the kernel chain."""
     if kappa < 1 or kappa > curve.degree:
         raise ValueError("transversality order must lie in 1..degree")
-    n = curve.dim
-    kernels = nested_kernels(curve, kappa)
-    image_cols = []
-    image_dims = []
-    for j in range(1, kappa + 1):
-        basis = kernels[j - 1]
-        mapped_mat = _linalg.matmul(curve.coefficients[j], _linalg.hstack(basis, n))
-        pivots = _linalg.column_space_pivots(mapped_mat) if basis else []
-        cols = _linalg.columns(mapped_mat)
-        chosen = [cols[p] for p in pivots]
-        image_dims.append(len(chosen))
-        image_cols.extend(chosen)
-    last_nonzero = image_dims[-1] > 0 if image_dims else False
-    range_pivots = _linalg.column_space_pivots(curve.coefficients[0])
-    range_cols = [_linalg.columns(curve.coefficients[0])[p] for p in range_pivots]
-    assembled = _linalg.hstack(image_cols + range_cols, n)
-    r = _linalg.rank(assembled) if image_cols or range_cols else 0
-    total = len(image_cols) + len(range_cols)
-    holds = last_nonzero and r == total == n
-    return TransversalityCertificate(
-        holds=holds,
-        kappa=kappa,
-        image_dims=tuple(image_dims),
-        assembled_matrix=assembled,
-        assembled_rank=r,
-        last_image_nonzero=last_nonzero,
-    )
+    return next(itertools.islice(_certificates(curve), kappa - 1, None))
 
 
 def multiplicity_transversal(curve: MatrixCurveJet) -> MultiplicityReport:
     """Weighted kernel-image dimension sum at the minimal transversality
-    order; raises NotTransversal when no stored order works."""
+    order, read off one walk up the kernel chain; raises NotTransversal
+    when no stored order works."""
     if _linalg.rank(curve.constant_term()) == curve.dim:
         return MultiplicityReport.finite(0, "transversal")
-    for kappa in range(1, curve.degree + 1):
-        cert = is_kappa_transversal(curve, kappa)
+    for cert in _certificates(curve):
         if cert.holds:
             value = sum(j * d for j, d in enumerate(cert.image_dims, start=1))
             return MultiplicityReport.finite(value, "transversal")

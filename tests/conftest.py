@@ -53,7 +53,8 @@ def _convolve(a, b, n):
     for k in range(len(a) + len(b) - 1):
         acc = _linalg.zeros(n, n)
         for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            acc = _linalg.madd(acc, _linalg.matmul(a[i], b[k - i]))
+            prod = _linalg.matmul(a[i], b[k - i])
+            acc = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(acc, prod))
         out.append(acc)
     return out
 

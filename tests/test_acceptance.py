@@ -103,9 +103,11 @@ def test_criterion_2_product_formula_and_normalization():
     while normalizations < 50:
         n = rng.randint(2, 5)
         proj = random_rank_one_projection(rng, n)
-        curve = MatrixCurveJet(
-            n, 0, (_linalg.msub(_linalg.identity(n), proj), proj)
+        rest = tuple(
+            tuple(x - y for x, y in zip(r, s))
+            for r, s in zip(_linalg.identity(n), proj)
         )
+        curve = MatrixCurveJet(n, 0, (rest, proj))
         assert multiplicity_det(curve).value == 1
         assert multiplicity_schur(curve).value == 1
         assert multiplicity_transversal(curve).value == 1

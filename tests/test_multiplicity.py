@@ -1,5 +1,6 @@
 """Unit and property tests for the multiplicity routes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from curveinv.multiplicity import (
     NotTransversal,
     PhiNotNormalized,
     ProjectionPair,
+    TransversalityCertificate,
     _schur_numerator,
     algebraic_order,
     classical_multiplicity,
@@ -120,7 +122,7 @@ def test_projections_are_built_on_first_read(monkeypatch):
 def test_extend_to_basis_keeps_the_rank_raising_scan():
     # (1, 1, 0) spans a line: forward, e1 = (1, 1, 0) - e0 adds nothing;
     # backward, e0 = (1, 1, 0) - e1 does
-    e0, e1, e2 = _linalg.columns(_linalg.identity(3))
+    e0, e1, e2 = _linalg.identity(3)  # the identity's columns are its rows
     cols = [(F(1), F(1), F(0))]
     assert _linalg.extend_to_basis(cols, 3) == [e0, e2]
     assert _linalg.extend_to_basis(cols, 3, reverse=True) == [e2, e1]
@@ -178,6 +180,13 @@ def test_schur_rejects_pair_for_other_matrix():
     foreign = projection_pair(mat([[0, 0], [0, 1]]))
     with pytest.raises(InvalidProjectionPair):
         schur_operator(fixtures.nilpotent_shift_curve(), pair=foreign)
+
+
+@pytest.mark.parametrize("t", [[[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[0]]])
+def test_schur_names_a_pair_of_the_wrong_dimension(t):
+    c = curve(2, [[0, 0], [0, 1]], [[1, 0], [0, 0]])
+    with pytest.raises(InvalidProjectionPair, match=f"dimension {len(t)}, T has 2"):
+        multiplicity_schur(c, projection_pair(mat(t)))
 
 
 # -- schur operator and local determinant ---------------------------------------
@@ -328,6 +337,62 @@ def test_transversal_route_raises_when_not_transversal():
     c = curve(2, [[0, 1], [0, 0]], [[0, 0], [0, 0]])
     with pytest.raises(NotTransversal):
         multiplicity_transversal(c)
+
+
+def _certificate_from_scratch(c, kappa):
+    """The certificate at one order, rebuilt from K_1 .. K_kappa alone."""
+    n = c.dim
+    image_cols, image_dims = [], []
+    for j, basis in enumerate(nested_kernels(c, kappa), start=1):
+        mapped = _linalg.matmul(c.coefficients[j], _linalg.hstack(basis, n))
+        pivots = _linalg.rref(mapped)[1] if basis else []
+        chosen = [tuple(row[p] for row in mapped) for p in pivots]
+        image_dims.append(len(chosen))
+        image_cols.extend(chosen)
+    t = c.constant_term()
+    range_cols = [tuple(row[p] for row in t) for p in _linalg.rref(t)[1]]
+    assembled = _linalg.hstack(image_cols + range_cols, n)
+    r = _linalg.rank(assembled) if image_cols or range_cols else 0
+    total = len(image_cols) + len(range_cols)
+    return TransversalityCertificate(
+        holds=image_dims[-1] > 0 and r == total == n,
+        kappa=kappa,
+        image_dims=tuple(image_dims),
+        assembled_matrix=assembled,
+        assembled_rank=r,
+        last_image_nonzero=image_dims[-1] > 0,
+    )
+
+
+def test_certificates_match_the_per_order_construction():
+    rng = random.Random(4242)
+    refused = held = 0
+    for _ in range(60):
+        c, expected = curve_with_known_multiplicity(rng, max_degree=6)
+        stacked = []
+        for j, k in enumerate(nested_kernels(c, c.degree + 1), start=1):
+            stacked.extend(c.coefficients[j - 1])
+            assert k == tuple(_linalg.kernel_basis(_linalg.freeze(stacked)))
+        for kappa in range(1, c.degree + 1):
+            cert = is_kappa_transversal(c, kappa)
+            assert cert == _certificate_from_scratch(c, kappa)
+            held += cert.holds
+        try:
+            assert multiplicity_transversal(c).value == expected
+        except NotTransversal:
+            refused += 1
+    assert refused and held
+
+
+def test_transversal_route_walks_the_kernel_chain_once(monkeypatch):
+    # a Jordan block: transversal at no order, with zero top coefficients
+    c = curve(2, [[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    calls = []
+    real = _linalg.kernel_basis
+    monkeypatch.setattr(_linalg, "kernel_basis", lambda a: calls.append(a) or real(a))
+    with pytest.raises(NotTransversal):
+        multiplicity_transversal(c)
+    assert len(calls) == c.degree
 
 
 # -- transversalization -----------------------------------------------------------
@@ -491,7 +556,8 @@ def test_normalization_over_random_rank_one_projections(rng):
         n = rng.randint(2, 4)
         proj = random_rank_one_projection(rng, n)
         ident = _linalg.identity(n)
-        c = MatrixCurveJet(n, F(0), (_linalg.msub(ident, proj), proj))
+        rest = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ident, proj))
+        c = MatrixCurveJet(n, F(0), (rest, proj))
         assert multiplicity_det(c).value == 1
         assert multiplicity_schur(c).value == 1
         assert multiplicity_transversal(c).value == 1

@@ -13,9 +13,11 @@ For every curve the dump holds the ``kind``, ``value``, ``method``,
 multiplicity route (``schur`` and ``laurent`` with the default leftmost
 pair and with an explicit rightmost pair), a route's exception where it
 raises one, and the ``repr`` of ``algebraic_order``, of both pairs' ``P``
-and ``Q``, of ``schur_operator`` and of ``local_determinant``.  For every
-fixture command it holds the exit code, stdout, stderr and the ``--json``
-report of one ``curveinv`` process.  For every path it holds the
+and ``Q``, of ``schur_operator`` and of ``local_determinant``, of
+``is_kappa_transversal`` at every order 1..degree and of
+``nested_kernels`` through depth degree + 1.  For every fixture command
+it holds the exit code, stdout, stderr and the ``--json`` report of one
+``curveinv`` process.  For every path it holds the
 ``repr`` of the ``ParityValue`` of ``interval_parity``,
 ``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
 their root locations), or the refusal a route raises
@@ -291,6 +293,8 @@ def curve_dump(m, refusal, coeffs, base):
         _report_line(attempt(lambda: m.multiplicity_det(curve))),
         _report_line(attempt(lambda: m.multiplicity_transversal(curve))),
         repr(attempt(lambda: m.algebraic_order(curve))),
+        *[repr(m.is_kappa_transversal(curve, k)) for k in range(1, curve.degree + 1)],
+        repr(m.nested_kernels(curve, curve.degree + 1)),
     ]
     for flavor in ("leftmost", "rightmost"):
         pair = m.projection_pair(t, flavor)
