@@ -2,12 +2,11 @@
 
 Matrices are tuples of row tuples of ``Fraction``; columns/vectors are
 tuples of ``Fraction``.  One fraction-free elimination over Z, ``_echelon``,
-answers every question: ``rref`` (and through it rank, kernels, basis
-extensions and inverses) and ``det`` only read its integer rows, and only
-their outputs are rational.  Products go through ``_poly.mat_mul``, the
+answers every question: ``rref`` (and through it rank, kernels and
+inverses) and ``det`` only read its integer rows, and only their outputs
+are rational.  Products go through ``_poly.mat_mul``, the
 one matrix product, on constant polynomials.  Everything is deterministic:
-row reduction always picks the leftmost pivot, basis extensions scan the
-standard basis in a fixed direction.
+row reduction always picks the leftmost pivot.
 """
 
 from __future__ import annotations
@@ -121,8 +120,13 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> list:
     """Canonical basis of the null space, one vector per free column."""
-    n, m = shape(a)
-    red, pivots = rref(a)
+    return kernel_from_rref(*rref(a), shape(a)[1])
+
+
+def kernel_from_rref(red: Matrix, pivots, m: int) -> list:
+    """The kernel of the first ``m`` columns, read off reduced rows whose
+    leading rows pivot at ``pivots`` (all below ``m``): one vector per
+    free column, its pivot entries the negated free column."""
     pivot_set = set(pivots)
     free = [j for j in range(m) if j not in pivot_set]
     basis = []
@@ -133,23 +137,6 @@ def kernel_basis(a: Matrix) -> list:
             v[pc] = -red[row_idx][f]
         basis.append(tuple(v))
     return basis
-
-
-def extend_to_basis(cols: Sequence[Sequence[Fraction]], n: int, reverse: bool = False):
-    """Complete independent columns to a basis of Q^n with standard vectors.
-
-    Scans e_0, e_1, ... (or the reverse) and keeps each vector that raises
-    the rank: those are the pivot columns of ``cols`` followed by the scan,
-    read off one row reduction.  Returns the list of appended standard
-    vectors.
-    """
-    k = len(cols)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    scan = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in order]
-    pivots = rref(hstack(list(cols) + scan, n))[1]
-    if pivots[:k] != list(range(k)):
-        raise ArithmeticError("failed to extend to a basis")
-    return [scan[j - k] for j in pivots[k:]]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -335,4 +335,7 @@ class LaurentMatrix:
             cache[rows] = acc
             return acc
 
-        return rec(tuple(range(self.dim)), 0)
+        try:
+            return rec(tuple(range(self.dim)), 0)
+        finally:
+            rec = None  # rec reaches itself through its cell: free the memo now

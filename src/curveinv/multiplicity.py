@@ -173,18 +173,20 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
     reverse = flavor == "rightmost"
     t = _linalg.freeze(t)
     n = len(t)
-    kernel = _linalg.kernel_basis(t)
+    # one elimination of [T | scan]: the pivots below n are T's, those at n
+    # and above the scanned standard vectors that complete R[T]
+    e = _linalg.identity(n)  # its rows are e_0 ... e_{n-1}
+    scan = e[::-1] if reverse else e
+    red, pivots = _linalg.rref(tuple(a + b for a, b in zip(t, _linalg.hstack(scan, n))))
+    t_pivots = [j for j in pivots if j < n]
+    kernel = _linalg.kernel_from_rref(red, t_pivots, n)
+    range_b = [tuple(row[j] for row in t) for j in t_pivots]
+    kernel_complement = [e[j] for j in t_pivots]
+    range_complement = [scan[j - n] for j in pivots if j >= n]
     if reverse:
         kernel = list(reversed(kernel))
-    pivots = _linalg.rref(t)[1]
-    range_b = [tuple(row[j] for row in t) for j in pivots]
-    kernel_complement = [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(n)) for j in pivots
-    ]
-    if reverse:
         kernel_complement = list(reversed(kernel_complement))
         range_b = list(reversed(range_b))
-    range_complement = _linalg.extend_to_basis(range_b, n, reverse=reverse)
     return ProjectionPair(
         kernel_basis=tuple(kernel),
         kernel_complement=tuple(kernel_complement),

@@ -119,15 +119,23 @@ def test_projections_are_built_on_first_read(monkeypatch):
     assert len(built) == 2
 
 
-def test_extend_to_basis_keeps_the_rank_raising_scan():
-    # (1, 1, 0) spans a line: forward, e1 = (1, 1, 0) - e0 adds nothing;
-    # backward, e0 = (1, 1, 0) - e1 does
+def test_range_complement_keeps_the_rank_raising_scan():
+    # R[T] is the line through (1, 1, 0): forward, e1 = (1, 1, 0) - e0 adds
+    # nothing; backward, e0 = (1, 1, 0) - e1 does
     e0, e1, e2 = _linalg.identity(3)  # the identity's columns are its rows
-    cols = [(F(1), F(1), F(0))]
-    assert _linalg.extend_to_basis(cols, 3) == [e0, e2]
-    assert _linalg.extend_to_basis(cols, 3, reverse=True) == [e2, e1]
-    with pytest.raises(ArithmeticError):
-        _linalg.extend_to_basis(cols + cols, 3)
+    t = mat([[1, 0, 0], [1, 0, 0], [0, 0, 0]])
+    assert projection_pair(t, "leftmost").range_complement == (e0, e2)
+    assert projection_pair(t, "rightmost").range_complement == (e2, e1)
+
+
+@pytest.mark.parametrize("flavor", ["leftmost", "rightmost"])
+def test_projection_pair_eliminates_once(monkeypatch, flavor):
+    calls = []
+    real = _linalg.rref
+    monkeypatch.setattr(_linalg, "rref", lambda a: calls.append(a) or real(a))
+    pair = projection_pair(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), flavor)
+    assert len(calls) == 1
+    assert pair.kernel_dim == len(pair.range_complement) == 1
 
 
 def test_rref_matches_sympy(rng):
@@ -284,6 +292,24 @@ def test_laurent_route_rejects_zero_determinant():
     with pytest.raises(SingularToKnownOrder):
         multiplicity_laurent(fixtures.zero_curve())
 
+
+
+def test_laurent_route_leaves_no_garbage():
+    # the cofactor memo of LaurentMatrix.det is freed on return, not left
+    # in a reference cycle for the collector
+    import gc
+
+    rng = random.Random(3)
+    curves = [fixtures.nilpotent_shift_curve()]
+    curves += [curve_with_known_multiplicity(rng, max_degree=8)[0] for _ in range(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for c in curves:
+            multiplicity_laurent(c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 # -- nested kernels and transversality -------------------------------------------
 

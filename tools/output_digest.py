@@ -23,20 +23,16 @@ it holds the exit code, stdout, stderr and the ``--json`` report of one
 their root locations), or the refusal a route raises
 (``NonTransversalCrossing`` on a repeated root).
 
-The curves are the benchmark's ``curves-mixed`` (seed 4001, first 200
-curves; seed 11, all 500) and ``curves-large`` (seeds 9 and 4001) inputs:
-the pinned shapes are replayed from the reference seeds (12345 and 9)
-and the entries drawn at the set's seed, draw for draw as the benchmark
-and the test generators do.  The generator is written out here on plain
-``Fraction`` tuples, so the inputs depend neither on the library's
-arithmetic nor on the benchmark's code.  The paths are the benchmark's
-``parity-paths`` inputs, the criterion-4 mix on (-1, 1) at seeds 777 (the
-acceptance paths) and 4001: the shapes are replayed from seed 777, the
-structured draws come from the set's seed and the random draws from seed
-777, as in the benchmark.  A third set takes the seed-11 mix onto
+The inputs are the benchmark's, built by ``perfbench/workloads.py`` and
+``perfbench/gen.py`` beside this tool on the checkout's ``curveinv``: the
+``curves-mixed`` curves at seed 4001 (first 200) and seed 11 (all 500),
+the ``curves-large`` curves at seeds 9 and 4001, and the ``parity-paths``
+paths, the criterion-4 mix on (-1, 1), at seeds 777 (the acceptance
+paths) and 4001.  A third path set replays the same draws at seed 11 onto
 intervals drawn at seed 11 with small unequal denominators, such as
 (-2/3, 5/7), so the root isolation runs on endpoints that are not
-integers; a path singular at a drawn endpoint is left out.
+integers; it walks every scheduled draw, those the benchmark rejects on
+(-1, 1) too, and leaves out a path singular at a drawn endpoint.
 """
 
 from __future__ import annotations
@@ -50,15 +46,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-MIXED_SEED, MIXED_COUNT = 12345, 500
-LARGE_SEED, LARGE_DIMS = 9, (7, 8, 9)
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CURVE_SETS = (
-    ("curves-mixed-4001", "mixed", 4001, 200),
-    ("curves-mixed-11", "mixed", 11, 500),
-    ("curves-large-9", "large", 9, None),
-    ("curves-large-4001", "large", 4001, None),
+    ("curves-mixed-4001", "curves-mixed", 4001, 200),
+    ("curves-mixed-11", "curves-mixed", 11, 500),
+    ("curves-large-9", "curves-large", 9, None),
+    ("curves-large-4001", "curves-large", 4001, None),
 )
-PATHS_SEED, PATHS_COUNT = 777, 301
 PATH_SETS = (
     ("parity-paths-777", 777, False),
     ("parity-paths-4001", 4001, False),
@@ -78,189 +72,49 @@ FIXTURE_COMMANDS = (
 )
 
 # ---------------------------------------------------------------------------
-# inputs: the known-multiplicity curves A(mu) D(mu) B(mu)
+# inputs: the benchmark's
 
 
-def _rational(rng, span=4, dens=3):
-    return Fraction(rng.randint(-span, span), rng.randint(1, dens))
+def _workloads():
+    """The benchmark's ``workloads`` module from the ``perfbench`` beside
+    this tool; it and its ``gen`` build on the ``curveinv`` imported first."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    return workloads
 
 
-def _matrix(rng, n, span=4, dens=3):
-    return tuple(tuple(_rational(rng, span, dens) for _ in range(n)) for _ in range(n))
-
-
-def _is_singular(a) -> bool:
-    rows = [list(r) for r in a]
-    n = len(rows)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot is None:
-            return True
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return False
-
-
-def _invertible(rng, n):
-    while True:
-        m = _matrix(rng, n, 4, 1)
-        if not _is_singular(m):
-            return m
-
-
-def _unit_curve(rng, n, degree):
-    return [_invertible(rng, n)] + [_matrix(rng, n, 2, 1) for _ in range(degree)]
-
-
-def _convolve(a, b, n):
-    out = []
-    for k in range(len(a) + len(b) - 1):
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            x, y = a[i], b[k - i]
-            for r in range(n):
-                for c in range(n):
-                    acc[r][c] += sum(x[r][t] * y[t][c] for t in range(n))
-        out.append(tuple(tuple(row) for row in acc))
-    return out
-
-
-def _draw_shape(rng, n=None, max_degree=8):
-    if n is None:
-        n = rng.randint(1, 6)
-    deg_a = rng.randint(0, 1)
-    deg_b = rng.randint(0, 1)
-    e_max = max_degree - deg_a - deg_b
-    exponents = [rng.randint(0, min(3, e_max)) for _ in range(n)]
-    if all(e == 0 for e in exponents):
-        exponents[rng.randrange(n)] = rng.randint(1, min(3, max(e_max, 1)))
-    return n, deg_a, deg_b, exponents
-
-
-def _curve_coefficients(rng, shape):
-    """The coefficients and base point of the curve of this shape."""
-    n, deg_a, deg_b, exponents = shape
-    a = _unit_curve(rng, n, deg_a)
-    b = _unit_curve(rng, n, deg_b)
-    d = [
-        tuple(
-            tuple(Fraction(int(i == j and exponents[i] == k)) for j in range(n))
-            for i in range(n)
-        )
-        for k in range(max(exponents) + 1)
-    ]
-    coeffs = _convolve(_convolve(a, d, n), b, n)
-    return coeffs, Fraction(rng.choice((0, 1, Fraction(-1, 2))))
-
-
-def _schedule(kind):
-    """The pinned shapes: those drawn at the reference seed."""
-    if kind == "mixed":
-        rng, dims, max_degree = random.Random(MIXED_SEED), [None] * MIXED_COUNT, 8
-    else:
-        rng, dims, max_degree = random.Random(LARGE_SEED), LARGE_DIMS, 5
-    shapes = []
-    for n in dims:
-        shapes.append(_draw_shape(rng, n, max_degree))
-        _curve_coefficients(rng, shapes[-1])
-    return shapes, max_degree
-
-
-def curve_inputs(kind, seed, count):
-    """``(coefficients, base point)`` of the set's curves."""
-    shapes, max_degree = _schedule(kind)
-    rng = random.Random(seed)
-    out = []
-    for shape in shapes[:count]:
-        # the shape drawn at this seed is discarded, as in the benchmark
-        _draw_shape(rng, None if kind == "mixed" else shape[0], max_degree)
-        out.append(_curve_coefficients(rng, shape))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# inputs: the criterion-4 paths
-
-
-def _draw_path_shape(rng):
-    n = rng.randint(1, 5)
-    if rng.random() < 0.7:
-        return n, True, rng.randint(0, 3)
-    return n, False, rng.randint(0, 6)
-
-
-def _path_coefficients(rng, shape):
-    """A random matrix polynomial, or A diag(lam - c_i) B with constant
-    invertible A, B and distinct c_i in {-7/8, ..., 7/8}."""
-    n, structured, count = shape
-    if not structured:
-        return [_matrix(rng, n, 2, 1) for _ in range(count + 1)]
-    roots = []
-    while len(roots) < count:
-        c = Fraction(rng.randint(-7, 7), 8)
-        if c not in roots and -1 < c < 1:
-            roots.append(c)
-    left, right = _invertible(rng, n), _invertible(rng, n)
-    coeffs = [tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))]
-    for c in roots[:n]:
-        # multiply a diagonal factor (lam - c) into one random slot
-        slot = rng.randrange(n)
-
-        def entry(i, j, k):
-            if i != j:
-                return Fraction(0)
-            if i == slot:
-                return -c if k == 0 else Fraction(1)
-            return Fraction(1 - k)
-
-        factor = [
-            tuple(tuple(entry(i, j, k) for j in range(n)) for i in range(n))
-            for k in range(2)
-        ]
-        coeffs = _convolve(coeffs, factor, n)
-    return _convolve(_convolve([left], coeffs, n), [right], n)
-
-
-def _is_admissible(coeffs, a, b):
-    n = len(coeffs[0])
-    for lam in (a, b):
-        value = [[Fraction(0)] * n for _ in range(n)]
-        for mat in reversed(coeffs):
-            value = [
-                [v * lam + m for v, m in zip(vr, mr)] for vr, mr in zip(value, mat)
-            ]
-        if _is_singular(value):
-            return False
-    return True
+def curve_inputs(name, seed, count=None):
+    """The curves of the benchmark's workload ``name`` at ``seed``."""
+    return [item.data[0] for item in _workloads().build(name, seed, count)]
 
 
 def path_inputs(seed, rational_ends):
-    """``(coefficients, a, b)`` of the set's paths."""
-    rng = random.Random(PATHS_SEED)
-    shapes, accepted = [], 0
-    while accepted < PATHS_COUNT:
-        shapes.append(_draw_path_shape(rng))
-        accepted += _is_admissible(
-            _path_coefficients(rng, shapes[-1]), Fraction(-1), Fraction(1)
-        )
-    rng, ref = random.Random(seed), random.Random(PATHS_SEED)
+    """The ``parity-paths`` paths at ``seed``, or with ``rational_ends``
+    every scheduled draw moved onto an interval drawn at ``seed``."""
+    workloads = _workloads()
+    if not rational_ends:
+        return [item.data[0] for item in workloads.build("parity-paths", seed)]
+    import gen
+
+    # the benchmark's replay, but of every scheduled draw: one rejected on
+    # (-1, 1) may be admissible on the drawn interval
+    rng, ref = random.Random(seed), random.Random(workloads.PATHS_SEED)
     ends = random.Random(seed)
     out = []
-    for shape in shapes:
-        _draw_path_shape(rng)
-        _draw_path_shape(ref)
-        coeffs = _path_coefficients(rng, shape)
-        ref_coeffs = _path_coefficients(ref, shape)
-        if not shape[1]:
-            coeffs = ref_coeffs
-        a, b = Fraction(-1), Fraction(1)
-        if rational_ends:
-            a = Fraction(-ends.randint(1, 12), ends.randint(7, 12))
-            b = Fraction(ends.randint(1, 12), ends.randint(7, 12))
-        if _is_admissible(coeffs, a, b):
-            out.append((coeffs, a, b))
+    for n, structured, k in workloads.load_schedules()["parity-paths"]:
+        shape = (n, bool(structured), k)
+        gen.draw_path_shape(rng)
+        gen.draw_path_shape(ref)
+        path = gen.path_from_shape(rng, shape)
+        ref_path = gen.path_from_shape(ref, shape)
+        a = Fraction(-ends.randint(1, 12), ends.randint(7, 12))
+        b = Fraction(ends.randint(1, 12), ends.randint(7, 12))
+        coeffs = (path if structured else ref_path).coefficients
+        path = gen.PolynomialPath(n, a, b, coeffs)
+        if gen.is_admissible(path):
+            out.append(path)
     return out
 
 
@@ -277,7 +131,7 @@ def _report_line(report):
     )
 
 
-def curve_dump(m, refusal, coeffs, base):
+def curve_dump(m, refusal, curve):
     """The dump of one curve; ``m`` is the multiplicity module and
     ``refusal`` the library's error base class."""
 
@@ -287,7 +141,6 @@ def curve_dump(m, refusal, coeffs, base):
         except refusal as exc:  # a documented refusal is part of the output
             return f"{type(exc).__name__}: {exc}"
 
-    curve = m.MatrixCurveJet(len(coeffs[0]), base, tuple(coeffs))
     t = curve.constant_term()
     lines = [
         _report_line(attempt(lambda: m.multiplicity_det(curve))),
@@ -309,9 +162,8 @@ def curve_dump(m, refusal, coeffs, base):
     return "\n".join(lines)
 
 
-def path_dump(p, refusal, coeffs, a, b):
+def path_dump(p, refusal, path):
     """The dump of one path; ``p`` is the parity module."""
-    path = p.PolynomialPath(len(coeffs[0]), a, b, tuple(coeffs))
     lines = []
     for route in (p.interval_parity, p.crossing_parity, p.multiplicity_sum_parity):
         try:
@@ -361,16 +213,16 @@ def main(argv=None) -> int:
     from curveinv.errors import CurveInvError
 
     whole = hashlib.sha256()
-    for name, kind, seed, count in CURVE_SETS:
+    for name, workload, seed, count in CURVE_SETS:
         dump = "\n".join(
-            curve_dump(multiplicity, CurveInvError, coeffs, base)
-            for coeffs, base in curve_inputs(kind, seed, count)
+            curve_dump(multiplicity, CurveInvError, curve)
+            for curve in curve_inputs(workload, seed, count)
         )
         whole.update(dump.encode())
         print(name, hashlib.sha256(dump.encode()).hexdigest(), flush=True)
     for name, seed, rational_ends in PATH_SETS:
         dump = "\n".join(
-            path_dump(parity, CurveInvError, *path)
+            path_dump(parity, CurveInvError, path)
             for path in path_inputs(seed, rational_ends)
         )
         whole.update(dump.encode())
