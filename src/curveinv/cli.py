@@ -83,28 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", metavar="PATH", help="write a machine-readable report")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument(
+        "--json", metavar="PATH", help="write a machine-readable report"
+    )
+    cutoff_flag = argparse.ArgumentParser(add_help=False)
+    cutoff_flag.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    torus_flags = argparse.ArgumentParser(add_help=False)
+    torus_flags.add_argument("--n", type=int, required=True)
+    torus_flags.add_argument("--period", type=float, default=DEFAULT_PERIOD)
+    torus = (torus_flags, cutoff_flag)
 
-    p_chi = sub.add_parser("chi", help="multiplicity of a curve at its base point")
+    def command(name, help, *parents):
+        return sub.add_parser(name, help=help, parents=[*parents, json_flag])
+
+    p_chi = command("chi", "multiplicity of a curve at its base point")
     p_chi.add_argument("--curve", required=True, metavar="FILE")
-    p_chi.add_argument(
-        "--method", default="all", choices=(*_ROUTES, "all")
-    )
-    add_json(p_chi)
+    p_chi.add_argument("--method", default="all", choices=(*_ROUTES, "all"))
 
-    p_kappa = sub.add_parser("kappa", help="blow-up order of the inverse curve")
+    p_kappa = command("kappa", "blow-up order of the inverse curve")
     p_kappa.add_argument("--curve", required=True, metavar="FILE")
-    add_json(p_kappa)
 
-    p_classical = sub.add_parser(
-        "classical", help="ascent and multiplicity of a matrix eigenvalue"
-    )
+    p_classical = command("classical", "ascent and multiplicity of a matrix eigenvalue")
     p_classical.add_argument("--matrix", required=True, metavar="FILE")
     p_classical.add_argument("--mu", required=True, metavar="R")
-    add_json(p_classical)
 
-    p_parity = sub.add_parser("parity", help="parity of a path or loop")
+    p_parity = command("parity", "parity of a path or loop")
     p_parity.add_argument(
         "variant", choices=("interval", "crossings", "chi-sum", "loop")
     )
@@ -112,40 +116,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity.add_argument("--loop", metavar="FILE", help="loop document")
     p_parity.add_argument("--a", metavar="R", help="left endpoint override")
     p_parity.add_argument("--b", metavar="R", help="right endpoint override")
-    add_json(p_parity)
 
-    p_torsion = sub.add_parser("torsion", help="global torsion invariant")
+    p_torsion = command("torsion", "global torsion invariant", *torus)
     p_torsion.add_argument(
         "table", nargs="?", choices=("table",), help="emit all 2^n rows"
     )
-    p_torsion.add_argument("--n", type=int, required=True)
     p_torsion.add_argument("--signs", metavar="s1,s2,...")
-    p_torsion.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p_torsion.add_argument("--tol", type=float, default=1e-12)
-    p_torsion.add_argument("--period", type=float, default=DEFAULT_PERIOD)
-    add_json(p_torsion)
 
-    p_theta = sub.add_parser("theta", help="Gaussian lattice sums with tail bounds")
+    p_theta = command("theta", "Gaussian lattice sums with tail bounds", cutoff_flag)
     p_theta.add_argument("--kind", choices=("plain", "alternating"), default="plain")
-    p_theta.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    add_json(p_theta)
 
-    p_weights = sub.add_parser("weights", help="deck-class weight table")
-    p_weights.add_argument("--n", type=int, required=True)
+    p_weights = command("weights", "deck-class weight table", *torus)
     p_weights.add_argument("--max-class", type=int, default=2)
-    p_weights.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p_weights.add_argument("--period", type=float, default=DEFAULT_PERIOD)
-    add_json(p_weights)
 
-    p_orient = sub.add_parser("orientable", help="orientability of a bundle class")
-    p_orient.add_argument("--n", type=int, required=True)
+    p_orient = command("orientable", "orientability of a bundle class", *torus)
     p_orient.add_argument("--signs", required=True, metavar="s1,s2,...")
-    p_orient.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p_orient.add_argument("--tol", type=float, default=1e-12)
-    p_orient.add_argument("--period", type=float, default=DEFAULT_PERIOD)
-    add_json(p_orient)
 
     return parser
+
+
+# (flag, test, rule) for every numeric flag, in the order _check_flags reads them
+_FLAG_RANGES = (
+    ("n", lambda v: v >= 1, "must be at least 1"),
+    ("max_class", lambda v: v >= 0, "must be non-negative"),
+    ("period", lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+    ("tol", lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+    ("cutoff", lambda v: v >= 1, "must be at least 1"),
+)
+
+
+def _check_flags(args) -> None:
+    """Refuse a numeric flag out of its range before any command runs."""
+    given = vars(args)
+    for dest, test, rule in _FLAG_RANGES:
+        if dest in given and not test(given[dest]):
+            raise DocumentError(f"--{dest.replace('_', '-')} {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +196,19 @@ def _parse_signs(raw: str, n: int) -> Z2Homomorphism:
     return Z2Homomorphism(tuple(parts))
 
 
-def _power_tag(value: float, n: int, tol: float) -> str | None:
-    """Annotate a torsion value as a quarter power of one half."""
+def _power_tag(value: float, n: int, tol: float) -> str:
+    """The suffix ``  = 2^(...)`` that annotates a torsion value as a
+    quarter power of one half, or ``""`` where it is none."""
     for m in range(0, 4 * max(n, 1) + 1):
         if abs(value - 2.0 ** (-m / 4.0)) < tol:
             if m == 0:
-                return "1"
+                return "  = 1"
             if m % 4 == 0:
-                return f"2^(-{m // 4})"
+                return f"  = 2^(-{m // 4})"
             if m % 2 == 0:
-                return f"2^(-{m // 2}/2)"
-            return f"2^(-{m}/4)"
-    return None
+                return f"  = 2^(-{m // 2}/2)"
+            return f"  = 2^(-{m}/4)"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +339,8 @@ def _check_rows(base: int, n: int, what: str) -> None:
         raise DocumentError(f"{what} would have {base}^{n} rows, above {MAX_ROWS}")
 
 
-def _torus(args, n):
-    for flag in ("period", "tol"):
-        value = getattr(args, flag, 1.0)
-        if not (math.isfinite(value) and value > 0):
-            raise DocumentError(f"--{flag} must be finite and positive")
-    if getattr(args, "cutoff", DEFAULT_CUTOFF) < 1:
-        raise DocumentError("--cutoff must be at least 1")
-    return FlatTorus(n, period=args.period)
-
-
 def _cmd_torsion(args):
-    if args.n < 1:
-        raise DocumentError("--n must be at least 1")
-    torus = _torus(args, args.n)
+    torus = FlatTorus(args.n, period=args.period)
     if args.table == "table":
         _check_rows(2, args.n, "the torsion table")
         rows = []
@@ -358,8 +354,7 @@ def _cmd_torsion(args):
         for signs, report in rows:
             cells = "  ".join(f"{s:+d}".rjust(9) for s in signs)
             tag = _power_tag(report.value, args.n, args.tol)
-            suffix = f"  = {tag}" if tag else ""
-            print(f"{cells}  {report.value:.12f}{suffix}")
+            print(f"{cells}  {report.value:.12f}{tag}")
         payload = {
             "command": "torsion-table",
             "n": args.n,
@@ -380,8 +375,7 @@ def _cmd_torsion(args):
     zeta = _parse_signs(args.signs, args.n)
     report = torsion_invariant(torus, zeta, args.cutoff)
     tag = _power_tag(report.value, args.n, args.tol)
-    suffix = f"  = {tag}" if tag else ""
-    print(f"torsion invariant = {report.value:.12f}{suffix}")
+    print(f"torsion invariant = {report.value:.12f}{tag}")
     print(f"error bound       = {report.error_bound:.3e}")
     payload = {
         "command": "torsion",
@@ -395,8 +389,6 @@ def _cmd_torsion(args):
 
 
 def _cmd_theta(args):
-    if args.cutoff < 1:
-        raise DocumentError("--cutoff must be at least 1")
     result = theta_sum(args.kind == "alternating", args.cutoff)
     print(f"{args.kind} sum (cutoff {args.cutoff}) = {result.value:.12f}")
     print(f"tail bound = {result.tail_bound:.3e}")
@@ -411,12 +403,9 @@ def _cmd_theta(args):
 
 
 def _cmd_weights(args):
-    if args.n < 1:
-        raise DocumentError("--n must be at least 1")
-    if args.max_class < 0:
-        raise DocumentError("--max-class must be non-negative")
     _check_rows(2 * args.max_class + 1, args.n, "the weight table")
-    table = weight_table(_torus(args, args.n), args.max_class, args.cutoff)
+    torus = FlatTorus(args.n, period=args.period)
+    table = weight_table(torus, args.max_class, args.cutoff)
     print(f"deck-class weights (n={args.n}, box {args.max_class}, "
           f"cutoff {args.cutoff})")
     shown = set()
@@ -446,11 +435,9 @@ def _cmd_weights(args):
 
 
 def _cmd_orientable(args):
-    if args.n < 1:
-        raise DocumentError("--n must be at least 1")
     zeta = _parse_signs(args.signs, args.n)
     report = is_orientable(
-        zeta, _torus(args, args.n), cutoff=args.cutoff, tol=args.tol
+        zeta, FlatTorus(args.n, period=args.period), cutoff=args.cutoff, tol=args.tol
     )
     print("orientable" if report.orientable else "not orientable")
     print(f"torsion invariant = {report.torsion_value:.12f}")
@@ -486,6 +473,7 @@ def main(argv=None) -> int:
 
     payload = None
     try:
+        _check_flags(args)
         payload, code = _DISPATCH[args.command](args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -364,19 +364,15 @@ def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
     return _poly.mat_eliminate(framed, curve.dim - pair.kernel_dim)
 
 
-def schur_operator(
-    curve: MatrixCurveJet,
-    pair: ProjectionPair | None = None,
-    order: int | None = None,
-) -> tuple:
-    """The kernel-block Schur complement of the curve, as rows of jets.
+def schur_operator(curve: MatrixCurveJet, pair: ProjectionPair | None = None) -> tuple:
+    """The kernel-block Schur complement of the curve, as rows of jets
+    through the curve's order bound.
 
     Expressed in the pair's kernel basis (domain) and range-complement
     basis (codomain); the block is empty when the constant term is
     invertible.
     """
-    if order is None:
-        order = curve.order_bound()
+    order = curve.order_bound()
     det11, s = _schur_numerator(curve, pair)
     inv11 = jet_inverse(Jet.from_polynomial(det11, order))
     return tuple(
@@ -384,19 +380,15 @@ def schur_operator(
     )
 
 
-def local_determinant(
-    curve: MatrixCurveJet,
-    pair: ProjectionPair | None = None,
-    order: int | None = None,
-) -> Jet:
-    """Determinant of the Schur block; the empty block gives the one-jet.
+def local_determinant(curve: MatrixCurveJet, pair: ProjectionPair | None = None) -> Jet:
+    """Determinant of the Schur block through the curve's order bound; the
+    empty block gives the one-jet.
 
     Nonvanishing at a parameter value is equivalent to invertibility of
     the curve there, which is what makes this a local determinant.  It is
     ``det S = det S~ * (det L11)^-k`` for the k x k block ``S~``.
     """
-    if order is None:
-        order = curve.order_bound()
+    order = curve.order_bound()
     det11, s = _schur_numerator(curve, pair)
     inv11 = jet_inverse(Jet.from_polynomial(det11, order))
     d = jet_det(s, order)

@@ -79,51 +79,39 @@ def heat_kernel_rn(n: int, t: float, x: Sequence[float], y: Sequence[float]) -> 
     return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-d2 / (4.0 * t))
 
 
-def _signed_gaussian_sum(decay: float, alternating: bool, cutoff: int) -> float:
-    """sum over |m| <= cutoff of (+-1)^m exp(-decay m^2), ascending |m|.
+def _lattice_sums(decay: float, cutoff: int) -> tuple:
+    """The plain and alternating sums over |m| <= cutoff of (+-1)^m
+    exp(-decay m^2), and a rigorous (geometric) bound on the omitted tail
+    of either.
 
-    Stops at the first term that underflows to 0.0: the terms decrease in
-    |m|, so every later one is 0.0 too and adding it leaves the sum as is.
+    Both run in one ascending loop over |m|, which stops at the first term
+    that underflows to 0.0: the terms decrease in |m|, so every later one
+    is 0.0 too.  A cutoff beyond 10**150 is bounded as 10**150: the tail
+    past a smaller cutoff bounds the tail past a larger one, and
+    (10**150)**2 still converts to a float.  Refuses a tail bound at least
+    as large as the plain sum: every quotient by that sum would then carry
+    an unbounded error.
     """
-    s = 1.0
-    for m in range(1, cutoff + 1):
-        term = 2.0 * math.exp(-decay * m * m)
-        if term == 0.0:
-            break
-        s += -term if (alternating and m % 2 == 1) else term
-    return s
-
-
-def _gaussian_tail(decay: float, cutoff: int) -> float:
-    """Rigorous bound on the omitted |m| > cutoff terms (geometric bound).
-
-    A cutoff beyond 10**150 is bounded as 10**150: the tail past a smaller
-    cutoff bounds the tail past a larger one, and (10**150)**2 still
-    converts to a float.
-    """
-    cutoff = min(cutoff, 10**150)
-    head = 2.0 * math.exp(-decay * (cutoff + 1) ** 2)
-    ratio = math.exp(-decay * (2 * cutoff + 3))
+    bounded = min(cutoff, 10**150)
+    head = 2.0 * math.exp(-decay * (bounded + 1) ** 2)
+    ratio = math.exp(-decay * (2 * bounded + 3))
     if ratio >= 1.0:
         raise CutoffTooSmall(
             "the lattice terms decay too slowly to bound the tail at this cutoff"
         )
-    return head / (1.0 - ratio)
-
-
-def _certified_plain_sum(decay: float, cutoff: int) -> tuple:
-    """The truncated plain Gaussian sum and the bound on its tail.
-
-    Refuses a tail bound at least as large as the sum: every quotient by
-    the sum would then carry an unbounded error.
-    """
-    plain = _signed_gaussian_sum(decay, False, cutoff)
-    tail = _gaussian_tail(decay, cutoff)
+    tail = head / (1.0 - ratio)
+    plain = alternating = 1.0
+    for m in range(1, cutoff + 1):
+        term = 2.0 * math.exp(-decay * m * m)
+        if term == 0.0:
+            break
+        plain += term
+        alternating += -term if m % 2 == 1 else term
     if tail >= plain:
         raise CutoffTooSmall(
             "the tail bound exceeds the truncated sum; no error bound can be certified"
         )
-    return plain, tail
+    return plain, alternating, tail
 
 
 def _torus_sum(plain: float, torus: FlatTorus) -> float:
@@ -170,9 +158,10 @@ def theta_sum(alternating: bool, cutoff: int = DEFAULT_CUTOFF) -> ThetaSum:
     """
     if cutoff < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
+    plain, alt, tail = _lattice_sums(math.pi, cutoff)
     return ThetaSum(
-        value=_signed_gaussian_sum(math.pi, alternating, cutoff),
-        tail_bound=_gaussian_tail(math.pi, cutoff),
+        value=alt if alternating else plain,
+        tail_bound=tail,
         cutoff=cutoff,
         alternating=alternating,
     )
@@ -228,6 +217,13 @@ def intersection_sign(zeta: Z2Homomorphism, word: Sequence[int]) -> int:
     return zeta.sign_on(word)
 
 
+def _class_weight(decay: float, word: tuple, power: float) -> float:
+    """exp(-decay |m|^2) / power; the class m = 0 weighs 1 / power at every
+    decay, an infinite one included (where exp(-inf * 0) would be nan)."""
+    norm2 = sum(m * m for m in word)
+    return (math.exp(-decay * norm2) if norm2 else 1.0) / power
+
+
 def wiener_weight(
     torus: FlatTorus, deck_class: Sequence[int], cutoff: int = DEFAULT_CUTOFF
 ) -> float:
@@ -243,9 +239,8 @@ def wiener_weight(
         raise CutoffTooSmall(
             "cutoff must cover the largest index of the requested deck class"
         )
-    c = torus.decay
-    plain, _ = _certified_plain_sum(c, cutoff)
-    return math.exp(-c * sum(m * m for m in word)) / _torus_sum(plain, torus)
+    plain, _, _ = _lattice_sums(torus.decay, cutoff)
+    return _class_weight(torus.decay, word, _torus_sum(plain, torus))
 
 
 @dataclass(frozen=True)
@@ -258,13 +253,6 @@ class WienerWeights:
     normalization: float     # truncated closed-manifold heat kernel at the base point
     tail_bound: float        # tail of the one-dimensional denominator sum
 
-    def weight(self, deck_class: Sequence[int]) -> float:
-        key = tuple(int(m) for m in deck_class)
-        for cls_, w in self.entries:
-            if cls_ == key:
-                return w
-        raise KeyError(key)
-
 
 def weight_table(
     torus: FlatTorus, max_class: int, cutoff: int = DEFAULT_CUTOFF
@@ -274,16 +262,13 @@ def weight_table(
         raise ValueError("max_class must be non-negative")
     if cutoff < max_class:
         raise CutoffTooSmall("cutoff must cover the largest class index")
-    c = torus.decay
-    one_dim, tail = _certified_plain_sum(c, cutoff)
+    one_dim, _, tail = _lattice_sums(torus.decay, cutoff)
     classes = sorted(
         product(range(-max_class, max_class + 1), repeat=torus.n),
         key=lambda w: (sum(m * m for m in w), w),
     )
     power = _torus_sum(one_dim, torus)
-    entries = tuple(
-        (w, math.exp(-c * sum(m * m for m in w)) / power) for w in classes
-    )
+    entries = tuple((w, _class_weight(torus.decay, w, power)) for w in classes)
     return WienerWeights(
         torus=torus,
         cutoff=cutoff,
@@ -345,8 +330,7 @@ def torsion_invariant(
         raise ValueError("homomorphism rank must match the torus dimension")
     if cutoff < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
-    c = torus.decay
-    plain, tail = _certified_plain_sum(c, cutoff)
+    plain, alt, tail = _lattice_sums(torus.decay, cutoff)
     if zeta.is_trivial():
         return TorsionReport(
             value=1.0,
@@ -355,16 +339,13 @@ def torsion_invariant(
             signs=zeta.signs,
             torus=torus,
         )
-    alt = _signed_gaussian_sum(c, True, cutoff)
     ratio = alt / plain
     # |true ratio - ratio| <= tail*(plain + |alt|) / (plain*(plain - tail))
     ratio_err = tail * (plain + abs(alt)) / (plain * (plain - tail))
+    twisted = zeta.signs.count(-1)
     value = 1.0
-    twisted = 0
-    for s in zeta.signs:
-        if s == -1:
-            value *= ratio
-            twisted += 1
+    for _ in range(twisted):
+        value *= ratio
     # each factor lies in (0, 1], so first-order error accumulation suffices
     error = twisted * ratio_err
     return TorsionReport(
@@ -389,13 +370,14 @@ def torsion_value_set(torus: FlatTorus, cutoff: int = DEFAULT_CUTOFF) -> tuple:
     """All torsion values over the 2^n sign homomorphisms, deduplicated.
 
     On a common-period torus the value depends only on the number of
-    twisted generators, so the set has n + 1 elements, descending from 1.
+    twisted generators, so one class per count 0..n gives them all.
     """
-    values = []
-    for signs in product((1, -1), repeat=torus.n):
-        v = torsion_invariant(torus, Z2Homomorphism(signs), cutoff).value
-        if v not in values:
-            values.append(v)
+    values = {
+        torsion_invariant(
+            torus, Z2Homomorphism((-1,) * k + (1,) * (torus.n - k)), cutoff
+        ).value
+        for k in range(torus.n + 1)
+    }
     return tuple(sorted(values, reverse=True))
 
 
@@ -438,8 +420,8 @@ def is_orientable(
     if torus is None:
         torus = FlatTorus(zeta.n)
     report = torsion_invariant(torus, zeta, cutoff)
-    c = torus.decay
-    gap = 4.0 * math.exp(-c) / _signed_gaussian_sum(c, False, cutoff)
+    plain, _, _ = _lattice_sums(torus.decay, cutoff)
+    gap = 4.0 * math.exp(-torus.decay) / plain
     if gap <= tol + report.error_bound:
         raise PreconditionError(
             f"at period {torus.period!r} a twisted class's torsion value can lie "

@@ -312,6 +312,13 @@ def test_torsion_malformed_signs_exits_2():
         ["orientable", "--n", "1", "--signs=-1", "--period", "inf"],
         ["orientable", "--n", "1", "--signs=1", "--tol", "nan"],
         ["orientable", "--n", "1", "--signs=1", "--tol", "-1"],
+        ["torsion", "--n", "0", "--signs=1"],
+        ["torsion", "table", "--n", "0"],
+        ["weights", "--n", "0"],
+        ["orientable", "--n", "0", "--signs=1"],
+        ["theta", "--cutoff", "0"],
+        ["torsion", "--n", "1", "--signs=-1", "--cutoff", "0"],
+        ["weights", "--n", "1", "--max-class", "-1"],
     ],
 )
 def test_nonfinite_or_nonpositive_torus_flags_exit_2(argv, capsys):
@@ -434,6 +441,22 @@ def test_weights_command(capsys, tmp_path):
     assert abs(by_class[(0,)] - math.gamma(0.75) / math.pi ** 0.25) < 1e-12
     assert abs(by_class[(1,)] - by_class[(0,)] * math.exp(-math.pi)) < 1e-15
     assert abs(by_class[(2,)] - 3.21e-6) < 1e-8
+
+
+def test_weights_at_an_infinite_decay_are_finite(capsys, tmp_path):
+    # period 1e308 overflows period^2 / (4 time) to inf; the trivial class
+    # still weighs 1 / plain^n, not exp(-inf * 0) = nan
+    out = tmp_path / "w.json"
+    code = main(["weights", "--n", "1", "--period", "1e308", "--json", str(out)])
+    assert code == 0
+    assert "nan" not in capsys.readouterr().out
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    by_class = {tuple(e["deck_class"]): e["weight"] for e in payload["entries"]}
+    assert by_class == {(0,): 1.0, (-1,): 0.0, (1,): 0.0, (-2,): 0.0, (2,): 0.0}
 
 
 def test_orientable_command(capsys):

@@ -179,6 +179,20 @@ def test_huge_cutoff_stops_at_the_first_vanishing_term(monkeypatch):
     assert report.value == want.value
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_weights_at_an_infinite_decay_are_finite(n):
+    # the decay period^2 / (4 time) overflows to inf; the trivial class
+    # weighs 1 / plain^n = 1, the others exp(-inf) = 0
+    torus = FlatTorus(n, period=1e200)
+    assert torus.decay == math.inf
+    zero = (0,) * n
+    assert wiener_weight(torus, zero) == 1.0
+    assert wiener_weight(torus, (1,) + zero[1:]) == 0.0
+    entries = dict(weight_table(torus, 1).entries)
+    assert entries.pop(zero) == 1.0
+    assert set(entries.values()) == {0.0}
+
+
 def test_weight_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
         wiener_weight(FlatTorus(1), (13,), cutoff=12)
@@ -249,6 +263,26 @@ def test_value_sets_up_to_three():
         assert len(values) == n + 1
         for got, want in zip(values, expected):
             assert abs(got - want) < 1e-12
+
+
+def test_value_set_evaluates_one_class_per_twisted_count(monkeypatch):
+    n = 6
+    every = {
+        torsion_invariant(FlatTorus(n), Z2Homomorphism(signs)).value
+        for signs in product((1, -1), repeat=n)
+    }
+    counts = []
+    real = torsion.torsion_invariant
+
+    def spy(torus, zeta, cutoff):
+        counts.append(zeta.signs.count(-1))
+        return real(torus, zeta, cutoff)
+
+    monkeypatch.setattr(torsion, "torsion_invariant", spy)
+    assert torsion_value_set(FlatTorus(n)) == tuple(sorted(every, reverse=True))
+    assert sorted(counts) == list(range(n + 1))
+    # at an infinite decay every value is 1, and the set keeps one
+    assert torsion_value_set(FlatTorus(2, period=1e200)) == (1.0,)
 
 
 def test_value_set_builds_no_unit_box(monkeypatch):

@@ -17,7 +17,10 @@ and ``Q``, of ``schur_operator`` and of ``local_determinant``, of
 ``is_kappa_transversal`` at every order 1..degree and of
 ``nested_kernels`` through depth degree + 1.  For every fixture command
 it holds the exit code, stdout, stderr and the ``--json`` report of one
-``curveinv`` process.  For every path it holds the
+``curveinv`` process: ``chi``, ``kappa``, ``classical`` and ``parity`` on
+the documents under ``tests/fixtures``, and the torus commands
+``torsion``, ``theta``, ``weights`` and ``orientable``, a refusal with
+exit 3 and two with exit 2 among them.  For every path it holds the
 ``repr`` of the ``ParityValue`` of ``interval_parity``,
 ``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
 their root locations), or the refusal a route raises
@@ -69,6 +72,16 @@ FIXTURE_COMMANDS = (
     ("parity", "crossings", "--curve", "crossing_path.json"),
     ("parity", "loop", "--loop", "twisted_loop.json"),
     ("parity", "loop", "--loop", "constant_loop.json"),
+    ("torsion", "--n", "3", "--signs=-1,1,-1"),
+    ("torsion", "table", "--n", "4"),
+    ("theta", "--kind", "plain"),
+    ("theta", "--kind", "alternating", "--cutoff", "3"),
+    ("weights", "--n", "2"),
+    ("weights", "--n", "1", "--max-class", "3", "--period", "2.5"),
+    ("orientable", "--n", "2", "--signs=-1,1"),
+    ("torsion", "--n", "1", "--signs=-1", "--period", "0.05"),  # exit 3
+    ("theta", "--cutoff", "0"),  # exit 2
+    ("weights", "--n", "1", "--max-class", "-1"),  # exit 2
 )
 
 # ---------------------------------------------------------------------------
