@@ -12,9 +12,9 @@ primitive polynomials: a rational polynomial enters through ``primitive``,
 its positive multiple with coprime integer coefficients.  One
 fraction-free Bareiss elimination over Z[x], ``mat_eliminate``, gives both
 the determinant of a polynomial matrix (``mat_det_bareiss``) and the
-Schur complement of a leading block; ``mat_adjugate_det`` gives the
-adjugate modulo a power of x.  All operations are exact, no floating point
-anywhere.
+Schur complement of a leading block, over Z with one rational factor;
+``mat_adjugate_det`` gives the adjugate modulo a power of x.  All
+operations are exact, no floating point anywhere.
 
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
@@ -211,15 +211,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return neg(a) if a and a[-1] < 0 else a
 
 
-def compose_affine(p: Poly, c, s) -> Poly:
-    """Compose with an affine map: returns the polynomial x -> p(c + s*x)."""
-    lin = poly((c, s))
-    acc: Poly = ZERO
-    for coeff in reversed(p):
-        acc = add(mul(acc, lin), (coeff,))
-    return acc
-
-
 def squarefree_decomposition(p: Poly):
     """Yun decomposition of a nonzero polynomial, over Z.
 
@@ -409,6 +400,16 @@ def mat_coefficients(m: PolyMatrix) -> tuple:
     )
 
 
+def compose_affine(coeffs, c, s) -> tuple:
+    """The coefficient matrices of x -> C(c + s*x), for C(x) the sum of
+    ``coeffs[k] x^k``, by Horner's rule on the polynomial matrix."""
+    lin = poly((c, s))
+    acc = mat_lift(coeffs[-1:])
+    for mat in reversed(coeffs[:-1]):
+        acc = [[add(mul(p, lin), (x,)) for p, x in zip(ra, rm)] for ra, rm in zip(acc, mat)]
+    return mat_coefficients(acc)
+
+
 def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     """Matrix product by Kronecker substitution; with ``cap``, every entry
     keeps only its coefficients below x^cap.
@@ -477,19 +478,22 @@ def _unpack(v: int, w: int, top: int) -> Poly:
 
 
 def mat_eliminate(m: PolyMatrix, steps: int):
-    """``(det B, S~)`` by fraction-free Bareiss elimination over Z[x].
+    """``(det B, S, f)`` by fraction-free Bareiss elimination over Z[x].
 
     ``B`` is the leading ``steps`` x ``steps`` block of m, and
     ``S~ = det(B) * (D - C * B^-1 * C')`` is its Schur complement scaled by
-    ``det B``, over the trailing block ``D``.  Denominators are cleared
-    first, so the elimination runs on integer coefficients, where the
-    Bareiss divisions are exact.  It clears the first ``steps`` columns
-    with pivots (and row swaps) from the first ``steps`` rows only; by
-    Sylvester's identity every trailing entry is then the bordered minor
-    of ``B``, which is ``S~`` up to the swap sign and the scale ``d`` of the
-    integers: ``d^steps`` for ``det B`` and ``d^(steps+1)`` for ``S~``.  Zero
-    steps give ``(ONE, m)``, all of them ``(det m, [])``.  A singular ``B``
-    gives ``(ZERO, None)``: this elimination does not determine ``S~`` then.
+    ``det B``, over the trailing block ``D``; ``S~ = f*S`` with ``S``
+    primitive over Z, which keeps the integers of a further elimination
+    small.  Denominators are cleared first, so the elimination runs on
+    integer coefficients, where the Bareiss divisions are exact.  It clears
+    the first ``steps`` columns with pivots (and row swaps) from the first
+    ``steps`` rows only; by Sylvester's identity every trailing entry is
+    then the bordered minor of ``B``, which is ``S~`` up to the swap sign
+    and the scale ``d`` of the integers: ``det B`` is rescaled by
+    ``sign/d^steps``, and ``f = sign*g/d^(steps+1)`` for the content ``g``
+    of the trailing block.  Zero steps give ``(ONE, S, f)`` with
+    ``f*S = m``, all of them ``(det m, [], f)``.  A singular ``B`` gives
+    ``(ZERO, None, None)``: this elimination does not determine ``S~`` then.
     """
     n = len(m)
     a, d = to_int_matrix(m)
@@ -503,7 +507,7 @@ def mat_eliminate(m: PolyMatrix, steps: int):
                     sign = -sign
                     break
             else:
-                return ZERO, None
+                return ZERO, None, None
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
@@ -511,11 +515,9 @@ def mat_eliminate(m: PolyMatrix, steps: int):
             a[i][k] = ()
         prev = a[k][k]
     det_b = poly(Fraction(sign * x, d**steps) for x in prev)
-    scale = d ** (steps + 1)
-    return det_b, [
-        [poly(Fraction(sign * x, scale) for x in p) for p in row[steps:]]
-        for row in a[steps:]
-    ]
+    g = math.gcd(*[c for row in a[steps:] for p in row[steps:] for c in p]) or 1
+    s = [[tuple([c // g for c in p]) for p in row[steps:]] for row in a[steps:]]
+    return det_b, s, Fraction(sign * g, d ** (steps + 1))
 
 
 def mat_det_bareiss(m: PolyMatrix) -> Poly:

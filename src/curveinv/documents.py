@@ -29,6 +29,9 @@ def parse_rational(value) -> Fraction:
             f"float literal {value!r} rejected; write rationals as strings"
         )
     if isinstance(value, str):
+        # the grammar has no exponent: Fraction("1e999999999") builds 10^999999999
+        if "e" in value.lower():
+            raise DocumentError(f"exponent notation rejected: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -128,20 +131,12 @@ def path_from_document(obj, a=None, b=None) -> PolynomialPath:
         a = parse_rational(interval[0]) if a is None else a
         b = parse_rational(interval[1]) if b is None else b
     base = parse_rational(obj.get("base_point", "0"))
-    if base != 0:
-        coeffs = _recenter_to_global(coeffs, base)
+    if base != 0:  # sum_j C_j (lam - base)^j in powers of lam
+        coeffs = _poly.compose_affine(coeffs, -base, 1)
     try:
         return PolynomialPath(dim, Fraction(a), Fraction(b), coeffs)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-
-
-def _recenter_to_global(coeffs, base):
-    """Expand sum_j C_j (lam - base)^j into powers of lam."""
-    lift = _poly.mat_lift(coeffs)
-    return _poly.mat_coefficients(
-        [[_poly.compose_affine(p, -base, 1) for p in row] for row in lift]
-    )
 
 
 def path_to_document(path: PolynomialPath) -> dict:
@@ -200,5 +195,5 @@ def load_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints
+        raise DocumentError(f"cannot parse {path} as JSON: {exc}") from exc

@@ -122,11 +122,11 @@ def shifted_eigen_curve(k: _linalg.Matrix, mu) -> MatrixCurveJet:
 class ProjectionPair:
     """Projections onto the kernel and the range of a singular matrix.
 
-    ``p`` projects onto Ker[T] along a complement spanned by standard
-    vectors at the pivot columns; ``q`` projects onto R[T] along a
-    complement completed from the standard basis.  The four stored bases
-    are the block decomposition the Schur operator lives in; ``p`` and
-    ``q`` are built from them on first read.
+    A pair is its two frames, ``[kernel complement | kernel basis]`` and
+    ``[range basis | range complement]``: the block decomposition the Schur
+    operator lives in.  ``p`` projects onto Ker[T] along the kernel
+    complement and ``q`` onto R[T] along the range complement; both are
+    readings of the frames, built on first read.
     """
 
     kernel_basis: tuple            # columns spanning Ker[T]
@@ -144,21 +144,21 @@ class ProjectionPair:
 
     @functools.cached_property
     def p(self) -> _linalg.Matrix:
-        return _projection_onto(self.kernel_basis, self.kernel_complement, self.dim)
+        k = slice(self.dim - self.kernel_dim, self.dim)
+        return _frame_projection(self.kernel_basis, self.domain_frame(), k)
 
     @functools.cached_property
     def q(self) -> _linalg.Matrix:
-        return _projection_onto(self.range_basis, self.range_complement, self.dim)
+        r = slice(0, len(self.range_basis))
+        return _frame_projection(self.range_basis, self.codomain_frame(), r)
 
     def domain_frame(self) -> _linalg.Matrix:
         """Columns: the kernel complement, then the kernel basis."""
-        cols = [*self.kernel_complement, *self.kernel_basis]
-        return _linalg.hstack(cols, self.dim)
+        return _linalg.hstack([*self.kernel_complement, *self.kernel_basis], self.dim)
 
     def codomain_frame(self) -> _linalg.Matrix:
         """Columns: the range basis, then the range complement."""
-        cols = [*self.range_basis, *self.range_complement]
-        return _linalg.hstack(cols, self.dim)
+        return _linalg.hstack([*self.range_basis, *self.range_complement], self.dim)
 
 
 def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPair:
@@ -195,35 +195,35 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
     )
 
 
-def _projection_onto(target_cols, complement_cols, n) -> _linalg.Matrix:
-    """Projection with range span(target) and kernel span(complement): the
-    target columns times the target rows of the inverse basis.  An empty
-    target is the zero matrix, as an n x 0 product carries no width."""
-    k = len(target_cols)
-    if k == 0:
+def _frame_projection(basis, frame, rows: slice) -> _linalg.Matrix:
+    """The ``basis`` columns times ``rows`` of the inverse frame.  An empty
+    basis is the zero matrix, as an n x 0 product carries no width."""
+    n = len(frame)
+    if not basis:
         return _linalg.zeros(n, n)
-    inv = _linalg.inverse(_linalg.hstack([*complement_cols, *target_cols], n))
-    return _linalg.matmul(_linalg.hstack(target_cols, n), inv[n - k :])
+    return _linalg.matmul(_linalg.hstack(basis, n), _linalg.inverse(frame)[rows])
 
 
 def validate_projection_pair(t: _linalg.Matrix, pair: ProjectionPair) -> None:
-    """Raise InvalidProjectionPair unless the pair fits T exactly."""
+    """Raise InvalidProjectionPair unless the pair's four bases fit T: two
+    frames of rank n, a kernel basis of Ker[T] and a range basis of R[T]."""
     t = _linalg.freeze(t)
     n = len(t)
     if pair.dim != n:
         raise InvalidProjectionPair(f"the pair has dimension {pair.dim}, T has {n}")
-    p, q = pair.p, pair.q
-    if _linalg.matmul(p, p) != p or _linalg.matmul(q, q) != q:
-        raise InvalidProjectionPair("P and Q must be idempotent")
-    if any(c for row in _linalg.matmul(t, p) for c in row):
-        raise InvalidProjectionPair("range of P must lie in Ker[T]")
-    if _linalg.matmul(q, t) != t:
-        raise InvalidProjectionPair("Q must restrict to the identity on R[T]")
-    r = _linalg.rank(t)
-    if _linalg.rank(p) != n - r or _linalg.rank(q) != r:
-        raise InvalidProjectionPair("projection ranks do not match T")
+    vectors = (*pair.kernel_basis, *pair.kernel_complement)
+    vectors += (*pair.range_basis, *pair.range_complement)
+    if len(vectors) != 2 * n or any(len(v) != n for v in vectors):
+        raise InvalidProjectionPair(f"the pair must store {2 * n} vectors of length {n}")
     if any(_linalg.rank(f) != n for f in (pair.domain_frame(), pair.codomain_frame())):
         raise InvalidProjectionPair("stored bases do not span the space")
+    r = _linalg.rank(t)
+    image = _linalg.matmul(t, _linalg.hstack(pair.kernel_basis, n))
+    if pair.kernel_dim != n - r or any(c for row in image for c in row):
+        raise InvalidProjectionPair("the kernel basis must span Ker[T]")
+    stacked = [b + row for b, row in zip(_linalg.hstack(pair.range_basis, n), t)]
+    if len(pair.range_basis) != r or _linalg.rank(stacked) != r:
+        raise InvalidProjectionPair("the range basis must span R[T]")
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +350,28 @@ def _pair_for(curve: MatrixCurveJet, pair: ProjectionPair | None) -> ProjectionP
 
 
 def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
-    """``det L11`` and ``S~ = det(L11)*(L22 - L21*L11^-1*L12)`` over Q[x].
+    """``(det L11, s, f)`` with ``S~ = f*s = det(L11)*(L22 - L21*L11^-1*L12)``.
 
     The blocks are those of the curve in the pair's frame, where ``L11`` is
     invertible at the base point; the Schur block is ``S = S~ / det L11``.
-    Both come from one fraction-free elimination of the framed curve's
-    first ``n - k`` columns.
+    All three come from one fraction-free elimination of the framed
+    curve's first ``n - k`` columns: ``s`` is over Z[x] and ``f`` rational.
     """
     pair = _pair_for(curve, pair)
     cod_inv = _poly.mat_lift([_linalg.inverse(pair.codomain_frame())])
     dom = _poly.mat_lift([pair.domain_frame()])
     framed = _poly.mat_mul(_poly.mat_mul(cod_inv, curve.polynomial_lift()), dom)
     return _poly.mat_eliminate(framed, curve.dim - pair.kernel_dim)
+
+
+def _schur_unit(curve: MatrixCurveJet, pair: ProjectionPair | None):
+    """``(s, u, order)``: the integer block, the unit jet ``u = f/det L11``
+    through the order bound, and that bound; the Schur block is ``u*s``.  ``u``
+    goes on the left of every product: a vanishing one stays rational."""
+    order = curve.order_bound()
+    det11, s, f = _schur_numerator(curve, pair)
+    inv11 = jet_inverse(Jet.from_polynomial(det11, order))
+    return s, Jet(tuple([f * c for c in inv11.coeffs])), order
 
 
 def schur_operator(curve: MatrixCurveJet, pair: ProjectionPair | None = None) -> tuple:
@@ -372,12 +382,8 @@ def schur_operator(curve: MatrixCurveJet, pair: ProjectionPair | None = None) ->
     basis (codomain); the block is empty when the constant term is
     invertible.
     """
-    order = curve.order_bound()
-    det11, s = _schur_numerator(curve, pair)
-    inv11 = jet_inverse(Jet.from_polynomial(det11, order))
-    return tuple(
-        tuple(Jet.from_polynomial(p, order) * inv11 for p in row) for row in s
-    )
+    s, u, order = _schur_unit(curve, pair)
+    return tuple(tuple(u * Jet.from_polynomial(p, order) for p in row) for row in s)
 
 
 def local_determinant(curve: MatrixCurveJet, pair: ProjectionPair | None = None) -> Jet:
@@ -386,14 +392,12 @@ def local_determinant(curve: MatrixCurveJet, pair: ProjectionPair | None = None)
 
     Nonvanishing at a parameter value is equivalent to invertibility of
     the curve there, which is what makes this a local determinant.  It is
-    ``det S = det S~ * (det L11)^-k`` for the k x k block ``S~``.
+    ``det S = det(s) * u^k`` for the k x k integer block ``s``.
     """
-    order = curve.order_bound()
-    det11, s = _schur_numerator(curve, pair)
-    inv11 = jet_inverse(Jet.from_polynomial(det11, order))
+    s, u, order = _schur_unit(curve, pair)
     d = jet_det(s, order)
     for _ in s:
-        d = d * inv11
+        d = u * d
     return d
 
 
@@ -407,17 +411,19 @@ def multiplicity_schur(
     Works with ``S~ = det(L11)*S``, the trailing block of a Bareiss
     elimination of the framed curve stopped after ``L11``'s columns:
     ``det L11`` is a unit at the base point, so ``ord det S~ = ord det S``,
-    and ``det S~`` is computed exactly over Q[x] by its own k x k
-    elimination.  ``det S`` is ``det L / det L11``, so its order is at most
-    the determinant degree bound unless it is the zero polynomial
-    ("infinite").
+    and ``det S~ = f^k det s`` is computed exactly by a k x k elimination
+    of the integer block ``s``, rescaled once.  ``det S`` is
+    ``det L / det L11``, so its order is at most the determinant degree
+    bound unless it is the zero polynomial ("infinite").
     The witness is ``det S~`` known through the bound (or through ``order``
     when given).
     """
     capped = order is not None
     bound = curve.order_bound() if order is None else order
-    _, s = _schur_numerator(curve, pair)
-    return _order_report(jet_det(s, bound), "schur", capped)
+    _, s, f = _schur_numerator(curve, pair)
+    scale = f ** len(s)
+    d = Jet(tuple([scale * c for c in jet_det(s, bound).coeffs]))
+    return _order_report(d, "schur", capped)
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,8 @@ class PolynomialPath:
 
     def reversed(self) -> "PolynomialPath":
         """The same track traversed backwards, reparameterized on [a, b]."""
-        s = self.a + self.b
-        flipped = [
-            [_poly.compose_affine(p, s, -1) for p in row]
-            for row in _poly.mat_lift(self.coefficients)
-        ]
-        return PolynomialPath(self.dim, self.a, self.b, _poly.mat_coefficients(flipped))
+        flipped = _poly.compose_affine(self.coefficients, self.a + self.b, -1)
+        return PolynomialPath(self.dim, self.a, self.b, flipped)
 
 
 @dataclass(frozen=True)

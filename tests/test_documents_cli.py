@@ -65,6 +65,10 @@ def test_rational_parsing():
         documents.parse_rational("3/0")
     with pytest.raises(errors.DocumentError):
         documents.parse_rational("abc")
+    # the grammar has no exponent; Fraction would build 10^999999999
+    for exponent in ("1e3", "1e999999999"):
+        with pytest.raises(errors.DocumentError):
+            documents.parse_rational(exponent)
 
 
 def test_path_document_with_base_point_recenters():
@@ -147,11 +151,17 @@ def test_chi_missing_file_exits_2(capsys):
 def test_chi_malformed_curve_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for doc in (
-        '{"dim": 2, "coefficients": [[["0.5", "0"], ["0", "0"]]]}',
-        '{"dim": true, "coefficients": [[["0"]], [["1"]]]}',
+        b'{"dim": 2, "coefficients": [[["0.5", "0"], ["0", "0"]]]}',
+        b'{"dim": true, "coefficients": [[["0"]], [["1"]]]}',
+        b'{"dim": 1, "coefficients": [[["1e3"]], [["1"]]]}',
+        '{"dim": 1, "coefficients": [[["0"]], [["1"]]]}'.encode("utf-16"),
+        b"[" * 200000 + b"]" * 200000,
+        b'{"dim": 1, "coefficients": [[[' + b"7" * 5000 + b']], [["1"]]]}',
     ):
-        bad.write_text(doc)
+        bad.write_bytes(doc)
         assert main(["chi", "--curve", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -42,6 +42,7 @@ from curveinv.multiplicity import (
 
 F = Fraction
 I2 = _linalg.identity(2)
+E0, E1 = I2  # the identity's columns are its rows
 
 
 def mat(rows):
@@ -104,9 +105,9 @@ def test_projections_are_built_on_first_read(monkeypatch):
     from curveinv import multiplicity
 
     built = []
-    real = multiplicity._projection_onto
+    real = multiplicity._frame_projection
     monkeypatch.setattr(
-        multiplicity, "_projection_onto", lambda *a: built.append(a) or real(*a)
+        multiplicity, "_frame_projection", lambda *a: built.append(a) or real(*a)
     )
     c = fixtures.nilpotent_shift_curve()
     for route in (multiplicity_schur, multiplicity_laurent):
@@ -182,6 +183,26 @@ def test_validate_rejects_wrong_pair():
     good = projection_pair(t)
     with pytest.raises(InvalidProjectionPair):
         validate_projection_pair(I2, good)
+
+
+@pytest.mark.parametrize(
+    "bases",
+    [
+        ((E0,), (E0,), (E1,), (E0,)),  # a singular domain frame
+        ((E0,), (E1,), (E1,), (E0, E1)),  # three range vectors in two dimensions
+        (((F(1),),), (E1,), (E1,), (E0,)),  # a kernel vector of length 1
+    ],
+)
+def test_validate_rejects_malformed_bases(bases):
+    c = curve(2, [[0, 0], [0, 1]], [[1, 0], [0, 0]])
+    pair = ProjectionPair(*bases)
+    for check in (
+        lambda: validate_projection_pair(c.constant_term(), pair),
+        lambda: multiplicity_schur(c, pair),
+        lambda: multiplicity_laurent(c, pair),
+    ):
+        with pytest.raises(InvalidProjectionPair):
+            check()
 
 
 def test_schur_rejects_pair_for_other_matrix():
@@ -721,8 +742,9 @@ def test_schur_block_with_a_pivot_swap_against_sympy_oracle():
     k2 = ((0, 1, 0), (0, 0, 1), (F(-1, 3), 0, 2))
     curve = MatrixCurveJet(3, F(0), (t, k1, k2))
     validate_projection_pair(t, pair)
-    det11, s = _schur_numerator(curve, pair)
-    assert (det11, s) == sympy_schur_numerator(_sympy_framed(curve, pair), 2)
+    det11, s, f = _schur_numerator(curve, pair)
+    schur = [[tuple([f * c for c in p]) for p in row] for row in s]
+    assert (det11, schur) == sympy_schur_numerator(_sympy_framed(curve, pair), 2)
     assert multiplicity_schur(curve, pair).value == multiplicity_det(curve).value
 
 
