@@ -12,11 +12,17 @@ Exit codes: 0 success, 2 malformed documents or flags, 3 violated
 mathematical preconditions, 4 internal consistency failure (a bug).
 Human-readable output goes to stdout; ``--json PATH`` additionally writes
 a canonical machine-readable report, byte-identical for identical inputs.
+Exact values are printed in full, however many digits they have.
+
+Each command imports the library modules it runs when it runs, so
+``theta`` never loads the exact-arithmetic stack and ``chi`` never loads
+``torsion``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
@@ -28,33 +34,6 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .exactnum import SingularToKnownOrder
-from .multiplicity import (
-    algebraic_order,
-    classical_multiplicity,
-    multiplicity_det,
-    multiplicity_laurent,
-    multiplicity_schur,
-    multiplicity_transversal,
-    NotTransversal,
-    shifted_eigen_curve,
-)
-from .parity import (
-    crossing_parity,
-    interval_parity,
-    loop_parity,
-    multiplicity_sum_parity,
-)
-from .torsion import (
-    DEFAULT_CUTOFF,
-    DEFAULT_PERIOD,
-    FlatTorus,
-    Z2Homomorphism,
-    is_orientable,
-    theta_sum,
-    torsion_invariant,
-    weight_table,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,14 +44,26 @@ EXIT_INTERNAL = 4
 # (2*max_class + 1)^n rows)
 MAX_ROWS = 100_000
 
-# each route is looked up in this module's globals when it is called, so a
-# wrapper installed on ``cli.multiplicity_det`` (a tracer, a spy) sees it
+# route name -> function of ``multiplicity``, looked up on that module when
+# it is called, so a wrapper installed on ``multiplicity.multiplicity_det``
+# (a tracer, a spy) sees it
 _ROUTES = {
-    "ord-det": lambda curve: multiplicity_det(curve),
-    "schur": lambda curve: multiplicity_schur(curve),
-    "laurent": lambda curve: multiplicity_laurent(curve),
-    "transversal": lambda curve: multiplicity_transversal(curve),
+    "ord-det": "multiplicity_det",
+    "schur": "multiplicity_schur",
+    "laurent": "multiplicity_laurent",
+    "transversal": "multiplicity_transversal",
 }
+
+# parity variant -> function of ``parity``, looked up the same way
+_PARITY_ROUTES = {
+    "interval": "interval_parity",
+    "crossings": "crossing_parity",
+    "chi-sum": "multiplicity_sum_parity",
+}
+
+# torus flag -> the ``torsion`` constant it defaults to; the parser leaves
+# it None so that only a torus command imports ``torsion``
+_TORUS_DEFAULTS = (("cutoff", "DEFAULT_CUTOFF"), ("period", "DEFAULT_PERIOD"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="write a machine-readable report"
     )
     cutoff_flag = argparse.ArgumentParser(add_help=False)
-    cutoff_flag.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    cutoff_flag.add_argument("--cutoff", type=int)
     torus_flags = argparse.ArgumentParser(add_help=False)
     torus_flags.add_argument("--n", type=int, required=True)
-    torus_flags.add_argument("--period", type=float, default=DEFAULT_PERIOD)
+    torus_flags.add_argument("--period", type=float)
     torus = (torus_flags, cutoff_flag)
 
     def command(name, help, *parents):
@@ -109,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classical.add_argument("--mu", required=True, metavar="R")
 
     p_parity = command("parity", "parity of a path or loop")
-    p_parity.add_argument(
-        "variant", choices=("interval", "crossings", "chi-sum", "loop")
-    )
+    p_parity.add_argument("variant", choices=(*_PARITY_ROUTES, "loop"))
     p_parity.add_argument("--curve", metavar="FILE", help="path document")
     p_parity.add_argument("--loop", metavar="FILE", help="loop document")
     p_parity.add_argument("--a", metavar="R", help="left endpoint override")
@@ -145,6 +134,18 @@ _FLAG_RANGES = (
     ("tol", lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
     ("cutoff", lambda v: v >= 1, "must be at least 1"),
 )
+
+
+def _fill_torus_defaults(args) -> None:
+    """Give every torus flag left unset its default from ``torsion``."""
+    given = vars(args)
+    unset = [(dest, name) for dest, name in _TORUS_DEFAULTS
+             if dest in given and given[dest] is None]
+    if unset:
+        from . import torsion
+
+        for dest, name in unset:
+            setattr(args, dest, getattr(torsion, name))
 
 
 def _check_flags(args) -> None:
@@ -184,7 +185,22 @@ def _parity_payload(value) -> dict:
     }
 
 
-def _parse_signs(raw: str, n: int) -> Z2Homomorphism:
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the int-to-str digit limit while a report is formatted, so an
+    exact value is printed in full; parsing runs under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _parse_signs(raw: str, n: int) -> tuple:
     try:
         parts = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -193,7 +209,7 @@ def _parse_signs(raw: str, n: int) -> Z2Homomorphism:
         raise DocumentError(
             f"signs must be {n} comma-separated values from {{1, -1}}"
         )
-    return Z2Homomorphism(tuple(parts))
+    return tuple(parts)
 
 
 def _power_tag(value: float, n: int, tol: float) -> str:
@@ -216,14 +232,17 @@ def _power_tag(value: float, n: int, tol: float) -> str:
 
 
 def _cmd_chi(args):
+    from . import multiplicity
+    from .exactnum import SingularToKnownOrder
+
     curve = documents.curve_from_document(documents.load_file(args.curve))
     routes = tuple(_ROUTES) if args.method == "all" else (args.method,)
     reports = {}
     notes = {}
     for name in routes:
         try:
-            reports[name] = _ROUTES[name](curve)
-        except NotTransversal as exc:
+            reports[name] = getattr(multiplicity, _ROUTES[name])(curve)
+        except multiplicity.NotTransversal as exc:
             if args.method == "all":
                 notes[name] = f"not transversal ({exc})"
             else:
@@ -234,39 +253,41 @@ def _cmd_chi(args):
             else:
                 raise
 
-    print(f"multiplicity at base point {curve.base_point}")
-    for name in routes:
-        if name in reports:
-            r = reports[name]
-            print(f"  {name:<12}: {r}")
-            if r.witness is not None:
-                print(f"  {'':<12}  witness {r.witness}")
-        else:
-            print(f"  {name:<12}: {notes[name]}")
-
     outcomes = {(r.kind, r.value) for r in reports.values()}
     agree = len(outcomes) == 1
-    if args.method == "all":
-        print(f"agreement: {'yes' if agree else 'NO'}")
-    payload = {
-        "command": "chi",
-        "base_point": str(curve.base_point),
-        "reports": {k: _report_payload(r) for k, r in reports.items()},
-        "notes": notes,
-        "agreement": agree,
-    }
-    if not agree:
-        raise InternalConsistencyError(
-            "multiplicity routes disagree: "
-            + ", ".join(f"{k}={v}" for k, v in reports.items())
-        )
+    with _exact_digits():
+        print(f"multiplicity at base point {curve.base_point}")
+        for name in routes:
+            if name in reports:
+                r = reports[name]
+                print(f"  {name:<12}: {r}")
+                if r.witness is not None:
+                    print(f"  {'':<12}  witness {r.witness}")
+            else:
+                print(f"  {name:<12}: {notes[name]}")
+        if args.method == "all":
+            print(f"agreement: {'yes' if agree else 'NO'}")
+        payload = {
+            "command": "chi",
+            "base_point": str(curve.base_point),
+            "reports": {k: _report_payload(r) for k, r in reports.items()},
+            "notes": notes,
+            "agreement": agree,
+        }
+        if not agree:
+            raise InternalConsistencyError(
+                "multiplicity routes disagree: "
+                + ", ".join(f"{k}={v}" for k, v in reports.items())
+            )
     kind = next(iter(reports.values())).kind
     return payload, EXIT_OK if kind == "finite" else EXIT_PRECONDITION
 
 
 def _cmd_kappa(args):
+    from . import multiplicity
+
     curve = documents.curve_from_document(documents.load_file(args.curve))
-    report = algebraic_order(curve)
+    report = multiplicity.algebraic_order(curve)
     if report.is_algebraic:
         print(f"algebraic order kappa = {report.kappa}")
     else:
@@ -281,33 +302,38 @@ def _cmd_kappa(args):
 
 
 def _cmd_classical(args):
+    from . import multiplicity
+
     mat = documents.matrix_from_document(documents.load_file(args.matrix))
     mu = documents.parse_rational(args.mu)
-    report = classical_multiplicity(mat, mu)
-    cross = multiplicity_det(shifted_eigen_curve(mat, mu))
-    print(f"eigenvalue {mu}: ascent = {report.ascent}, "
-          f"multiplicity = {report.multiplicity}")
-    payload = {
-        "command": "classical",
-        "mu": str(mu),
-        "ascent": report.ascent,
-        "multiplicity": report.multiplicity,
-        "determinant_route": _report_payload(cross),
-    }
-    if not (cross.is_finite and cross.value == report.multiplicity):
-        raise InternalConsistencyError(
-            f"kernel-chain multiplicity {report.multiplicity} disagrees with "
-            f"determinant order {cross}"
-        )
+    report = multiplicity.classical_multiplicity(mat, mu)
+    cross = multiplicity.multiplicity_det(multiplicity.shifted_eigen_curve(mat, mu))
+    with _exact_digits():
+        print(f"eigenvalue {mu}: ascent = {report.ascent}, "
+              f"multiplicity = {report.multiplicity}")
+        payload = {
+            "command": "classical",
+            "mu": str(mu),
+            "ascent": report.ascent,
+            "multiplicity": report.multiplicity,
+            "determinant_route": _report_payload(cross),
+        }
+        if not (cross.is_finite and cross.value == report.multiplicity):
+            raise InternalConsistencyError(
+                f"kernel-chain multiplicity {report.multiplicity} disagrees with "
+                f"determinant order {cross}"
+            )
     return payload, EXIT_OK
 
 
 def _cmd_parity(args):
+    from . import parity
+
     if args.variant == "loop":
         if not args.loop:
             raise DocumentError("parity loop requires --loop FILE")
         loop = documents.loop_from_document(documents.load_file(args.loop))
-        value = loop_parity(loop)
+        value = parity.loop_parity(loop)
     else:
         if not args.curve:
             raise DocumentError(f"parity {args.variant} requires --curve FILE")
@@ -316,18 +342,14 @@ def _cmd_parity(args):
         path = documents.path_from_document(
             documents.load_file(args.curve), a=a, b=b
         )
-        fn = {
-            "interval": interval_parity,
-            "crossings": crossing_parity,
-            "chi-sum": multiplicity_sum_parity,
-        }[args.variant]
-        value = fn(path)
-    print(f"parity = {value.sign:+d}")
-    for c in value.crossings:
-        print(f"  crossing at {c.location}  multiplicity {c.multiplicity}")
-    if value.from_connector_abstraction:
-        print("  (computed through a symbolic GL connector)")
-    payload = {"command": f"parity-{args.variant}", **_parity_payload(value)}
+        value = getattr(parity, _PARITY_ROUTES[args.variant])(path)
+    with _exact_digits():
+        print(f"parity = {value.sign:+d}")
+        for c in value.crossings:
+            print(f"  crossing at {c.location}  multiplicity {c.multiplicity}")
+        if value.from_connector_abstraction:
+            print("  (computed through a symbolic GL connector)")
+        payload = {"command": f"parity-{args.variant}", **_parity_payload(value)}
     return payload, EXIT_OK
 
 
@@ -340,14 +362,18 @@ def _check_rows(base: int, n: int, what: str) -> None:
 
 
 def _cmd_torsion(args):
-    torus = FlatTorus(args.n, period=args.period)
+    from . import torsion
+
+    torus = torsion.FlatTorus(args.n, period=args.period)
     if args.table == "table":
         _check_rows(2, args.n, "the torsion table")
         rows = []
         for signs in sorted(
             itertools.product((1, -1), repeat=args.n), key=lambda s: s.count(-1)
         ):
-            report = torsion_invariant(torus, Z2Homomorphism(signs), args.cutoff)
+            report = torsion.torsion_invariant(
+                torus, torsion.Z2Homomorphism(signs), args.cutoff
+            )
             rows.append((signs, report))
         header = "  ".join(f"zeta(g{i + 1})" for i in range(args.n))
         print(f"{header}  torsion")
@@ -372,8 +398,8 @@ def _cmd_torsion(args):
 
     if not args.signs:
         raise DocumentError("torsion requires --signs (or the table subcommand)")
-    zeta = _parse_signs(args.signs, args.n)
-    report = torsion_invariant(torus, zeta, args.cutoff)
+    zeta = torsion.Z2Homomorphism(_parse_signs(args.signs, args.n))
+    report = torsion.torsion_invariant(torus, zeta, args.cutoff)
     tag = _power_tag(report.value, args.n, args.tol)
     print(f"torsion invariant = {report.value:.12f}{tag}")
     print(f"error bound       = {report.error_bound:.3e}")
@@ -389,7 +415,9 @@ def _cmd_torsion(args):
 
 
 def _cmd_theta(args):
-    result = theta_sum(args.kind == "alternating", args.cutoff)
+    from . import torsion
+
+    result = torsion.theta_sum(args.kind == "alternating", args.cutoff)
     print(f"{args.kind} sum (cutoff {args.cutoff}) = {result.value:.12f}")
     print(f"tail bound = {result.tail_bound:.3e}")
     payload = {
@@ -403,9 +431,11 @@ def _cmd_theta(args):
 
 
 def _cmd_weights(args):
+    from . import torsion
+
     _check_rows(2 * args.max_class + 1, args.n, "the weight table")
-    torus = FlatTorus(args.n, period=args.period)
-    table = weight_table(torus, args.max_class, args.cutoff)
+    torus = torsion.FlatTorus(args.n, period=args.period)
+    table = torsion.weight_table(torus, args.max_class, args.cutoff)
     print(f"deck-class weights (n={args.n}, box {args.max_class}, "
           f"cutoff {args.cutoff})")
     shown = set()
@@ -435,10 +465,11 @@ def _cmd_weights(args):
 
 
 def _cmd_orientable(args):
-    zeta = _parse_signs(args.signs, args.n)
-    report = is_orientable(
-        zeta, FlatTorus(args.n, period=args.period), cutoff=args.cutoff, tol=args.tol
-    )
+    from . import torsion
+
+    zeta = torsion.Z2Homomorphism(_parse_signs(args.signs, args.n))
+    torus = torsion.FlatTorus(args.n, period=args.period)
+    report = torsion.is_orientable(zeta, torus, cutoff=args.cutoff, tol=args.tol)
     print("orientable" if report.orientable else "not orientable")
     print(f"torsion invariant = {report.torsion_value:.12f}")
     payload = {
@@ -473,6 +504,7 @@ def main(argv=None) -> int:
 
     payload = None
     try:
+        _fill_torus_defaults(args)
         _check_flags(args)
         payload, code = _DISPATCH[args.command](args)
     except DocumentError as exc:

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import _poly
 from .errors import DocumentError
-from .multiplicity import MatrixCurveJet
-from .parity import AnalyticSegment, GlConnector, LoopPath, PolynomialPath
+
+# the loaders import the modules whose objects they build, so writing a
+# report or reading a file loads only json and fractions
+if TYPE_CHECKING:
+    from .multiplicity import MatrixCurveJet
+    from .parity import LoopPath, PolynomialPath
 
 
 def parse_rational(value) -> Fraction:
@@ -76,6 +80,8 @@ def _parse_dim(obj):
 
 
 def curve_from_document(obj) -> MatrixCurveJet:
+    from .multiplicity import MatrixCurveJet
+
     if not isinstance(obj, dict):
         raise DocumentError("curve document must be a JSON object")
     dim = _parse_dim(obj)
@@ -118,6 +124,9 @@ def path_from_document(obj, a=None, b=None) -> PolynomialPath:
     """Path from a document; an ``interval`` field may be overridden by
     explicitly supplied endpoints.  Coefficients are powers of the global
     parameter, optionally re-expanded around ``base_point``."""
+    from . import _poly
+    from .parity import PolynomialPath
+
     if not isinstance(obj, dict):
         raise DocumentError("path document must be a JSON object")
     dim = _parse_dim(obj)
@@ -148,6 +157,8 @@ def path_to_document(path: PolynomialPath) -> dict:
 
 
 def loop_from_document(obj) -> LoopPath:
+    from .parity import AnalyticSegment, GlConnector, LoopPath
+
     if not isinstance(obj, dict):
         raise DocumentError("loop document must be a JSON object")
     segments = obj.get("segments")
@@ -171,6 +182,8 @@ def loop_from_document(obj) -> LoopPath:
 
 
 def loop_to_document(loop: LoopPath) -> dict:
+    from .parity import GlConnector
+
     segments = []
     for seg in loop.segments:
         if isinstance(seg, GlConnector):

@@ -21,10 +21,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError
-from .parity import LoopPath, loop_parity
+
+if TYPE_CHECKING:
+    from .parity import LoopPath
 
 DEFAULT_PERIOD = 2.0 * math.sqrt(math.pi)
 DEFAULT_CUTOFF = 12
@@ -446,6 +448,8 @@ def class_from_loops(generator_loops: Sequence[LoopPath]) -> Z2Homomorphism:
     The sign on generator i is the parity of the i-th loop; this is the
     bridge from explicit operator loops to the sign-homomorphism encoding.
     """
+    from .parity import loop_parity
+
     if not generator_loops:
         raise ValueError("need at least one generator loop")
     return Z2Homomorphism(tuple(loop_parity(lp).sign for lp in generator_loops))

@@ -4,12 +4,13 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import curve_with_known_multiplicity
-from curveinv import cli, documents, errors, fixtures, torsion
+from curveinv import cli, documents, errors, fixtures, multiplicity, torsion
 from curveinv.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -132,12 +133,14 @@ def test_chi_transversal_only_exits_3_when_not_transversal(capsys):
 
 
 def test_chi_route_is_looked_up_when_called(monkeypatch, capsys):
-    # a wrapper installed on the cli module's name (a tracer, a spy) sees
-    # the route call
+    # a wrapper installed on the multiplicity module's name (a tracer, a
+    # spy) sees the route call
     calls = []
-    route = cli.multiplicity_det
+    route = multiplicity.multiplicity_det
     monkeypatch.setattr(
-        cli, "multiplicity_det", lambda curve: calls.append(curve) or route(curve)
+        multiplicity,
+        "multiplicity_det",
+        lambda curve: calls.append(curve) or route(curve),
     )
     code = main(["chi", "--curve", fx("nilpotent_shift.json"), "--method", "ord-det"])
     assert code == 0
@@ -162,6 +165,23 @@ def test_chi_malformed_curve_exits_2(tmp_path, capsys):
         assert main(["chi", "--curve", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_witness_longer_than_the_str_digit_limit_is_printed_exactly(tmp_path, capsys):
+    # det(diag(10^2200, 10^2200) + t·diag(1, 0)) = 10^4400 + 10^2200·t: the
+    # witness has more digits than the int-to-str limit that guards parsing
+    big = "1" + "0" * 2200
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps(
+        {"dim": 2, "coefficients": [[[big, "0"], ["0", big]], [["1", "0"], ["0", "0"]]]}
+    ))
+    out = tmp_path / "report.json"
+    limit = sys.get_int_max_str_digits()
+    assert main(["chi", "--curve", str(doc), "--json", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    witness = json.loads(out.read_text())["reports"]["ord-det"]["witness"]
+    assert witness == f"1{'0' * 4400}*t^0 + 1{'0' * 2200}*t^1 + O(t^3)"
+    assert witness in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -409,8 +429,8 @@ def test_oversized_tables_exit_2_before_building(argv, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oversized table was built")
 
-    monkeypatch.setattr(cli, "torsion_invariant", refuse)
-    monkeypatch.setattr(cli, "weight_table", refuse)
+    monkeypatch.setattr(torsion, "torsion_invariant", refuse)
+    monkeypatch.setattr(torsion, "weight_table", refuse)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -534,7 +554,15 @@ def test_console_entry_point_runs():
 
 
 def test_every_library_error_maps_to_one_exit_code():
+    # ``import curveinv`` loads no submodule, so load every one that can
+    # define an error
+    import importlib
+    import pkgutil
+
     import curveinv
+
+    for info in pkgutil.iter_modules(curveinv.__path__):
+        importlib.import_module(f"curveinv.{info.name}")
 
     def all_subclasses(cls):
         out = set()

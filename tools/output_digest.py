@@ -20,7 +20,8 @@ it holds the exit code, stdout, stderr and the ``--json`` report of one
 ``curveinv`` process: ``chi``, ``kappa``, ``classical`` and ``parity`` on
 the documents under ``tests/fixtures``, and the torus commands
 ``torsion``, ``theta``, ``weights`` and ``orientable``, a refusal with
-exit 3 and two with exit 2 among them.  For every path it holds the
+exit 3, five with exit 2 (a missing document among them) and the
+``--help`` text of the program and of ``torsion``.  For every path it holds the
 ``repr`` of the ``ParityValue`` of ``interval_parity``,
 ``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
 their root locations), or the refusal a route raises
@@ -69,7 +70,10 @@ FIXTURE_COMMANDS = (
     ("kappa", "--curve", "nilpotent_shift.json"),
     ("kappa", "--curve", "zero_curve.json"),
     ("classical", "--matrix", "jordan_block.json", "--mu", "0"),
+    ("chi", "--method", "ord-det", "--curve", "np_curve.json"),
+    ("parity", "interval", "--curve", "crossing_path.json"),
     ("parity", "crossings", "--curve", "crossing_path.json"),
+    ("parity", "chi-sum", "--curve", "crossing_path.json"),
     ("parity", "loop", "--loop", "twisted_loop.json"),
     ("parity", "loop", "--loop", "constant_loop.json"),
     ("torsion", "--n", "3", "--signs=-1,1,-1"),
@@ -82,6 +86,11 @@ FIXTURE_COMMANDS = (
     ("torsion", "--n", "1", "--signs=-1", "--period", "0.05"),  # exit 3
     ("theta", "--cutoff", "0"),  # exit 2
     ("weights", "--n", "1", "--max-class", "-1"),  # exit 2
+    ("chi", "--curve", "missing.json"),  # exit 2
+    ("parity", "loop"),  # exit 2
+    ("orientable", "--n", "2", "--signs=1"),  # exit 2
+    ("--help",),
+    ("torsion", "--help"),
 )
 
 # ---------------------------------------------------------------------------
