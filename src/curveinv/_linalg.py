@@ -1,12 +1,11 @@
-"""Exact linear algebra over the rationals (internal).
+"""Exact linear algebra on constant rational matrices (internal).
 
-Matrices are tuples of row tuples of ``Fraction``; columns/vectors are
-tuples of ``Fraction``.  One fraction-free elimination over Z, ``_echelon``,
-answers every question: ``rref`` (and through it rank, kernels and
-inverses) and ``det`` only read its integer rows, and only their outputs
-are rational.  Products go through ``_poly.mat_mul``, the
-one matrix product, on constant polynomials.  Everything is deterministic:
-row reduction always picks the leftmost pivot.
+Matrices are tuples of row tuples of ``Fraction``, vectors tuples of
+``Fraction``.  The module is construction, the product (``_poly.mat_mul``,
+the one matrix product, on constant polynomials) and one fraction-free
+elimination over Z, ``_echelon``: ``rref`` (and through it rank, kernels
+and inverses) and ``det`` only read its integer rows, and only their
+outputs are rational.  Row reduction always picks the leftmost pivot.
 """
 
 from __future__ import annotations
@@ -45,17 +44,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         [[(x,) for x in row] for row in a], [[(x,) for x in row] for row in b]
     )
     return tuple(tuple(Fraction(p[0]) if p else Fraction(0) for p in row) for row in prod)
-
-
-def polyval(coeffs: Sequence[Matrix], x) -> Matrix:
-    """The matrix polynomial sum_k coeffs[k] * x**k, by Horner's rule."""
-    x = Fraction(x)
-    acc = coeffs[-1]
-    for mat in reversed(coeffs[:-1]):
-        acc = tuple(
-            tuple(a * x + c for a, c in zip(ra, rm)) for ra, rm in zip(acc, mat)
-        )
-    return acc
 
 
 def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:

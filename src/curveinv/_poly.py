@@ -19,11 +19,12 @@ operations are exact, no floating point anywhere.
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
 evaluation: ``eval_at`` is its ``Fraction`` reading, divided by d^deg
-once, and a Sturm sign is its sign, never divided, as d > 0.  The
-bisection of ``count_roots_open`` and ``isolate_roots`` keeps each point
-as an integer N over q 2^e, with q the lcm of the endpoints' denominators,
-and halves an interval by adding numerators; only a reported root or
-bracket becomes a ``Fraction``.
+once, ``mat_eval_at`` reads each entry of a matrix scaled to integers
+once the same way, and a Sturm sign is its sign, never divided, as d > 0.
+The bisection of ``count_roots_open`` and ``isolate_roots`` keeps each
+point as an integer N over q 2^e, with q the lcm of the endpoints'
+denominators, and halves an interval by adding numerators; only a
+reported root or bracket becomes a ``Fraction``.
 
 Every matrix product, polynomial or rational (``_linalg.matmul`` is its
 degree-0 case), is the one ``mat_mul``, by Kronecker substitution: the
@@ -388,6 +389,17 @@ def mat_lift(coeffs) -> PolyMatrix:
         [_trim([mat[i][j] for mat in coeffs]) for j in range(len(row))]
         for i, row in enumerate(coeffs[0])
     ]
+
+
+def mat_eval_at(m: PolyMatrix, x) -> tuple:
+    """m(x) at x = n/d, in ``Fraction``s: m scaled to integers once (scale
+    s), entry p reads ``eval_numerator(p, n, d)`` over s*d^deg p."""
+    n, d = Fraction(x).as_integer_ratio()
+    im, s = to_int_matrix(m)
+    return tuple(
+        tuple([Fraction(eval_numerator(p, n, d), s * d ** max(len(p) - 1, 0)) for p in row])
+        for row in im
+    )
 
 
 def mat_coefficients(m: PolyMatrix) -> tuple:

@@ -10,6 +10,8 @@ values produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -35,12 +37,20 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         # the grammar has no exponent: Fraction("1e999999999") builds 10^999999999
         if "e" in value.lower():
-            raise DocumentError(f"exponent notation rejected: {value!r}")
+            raise DocumentError(f"exponent notation rejected: {_shown(value)}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"not a rational: {value!r}") from exc
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            digits = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
+            why = f": a number has more than {limit} digits" if 0 < limit < digits else ""
+            raise DocumentError(f"not a rational: {_shown(value)}{why}") from exc
     raise DocumentError(f"not a rational: {value!r}")
+
+
+def _shown(value: str) -> str:
+    """``repr(value)``, or past 60 characters its first 40 and its length."""
+    return repr(value) if len(value) <= 60 else f"{value[:40]!r}... ({len(value)} characters)"
 
 
 def format_rational(q: Fraction) -> str:

@@ -68,9 +68,8 @@ class MatrixCurveJet:
         mats = tuple(_linalg.freeze(m) for m in self.coefficients)
         if len(mats) < 2:
             raise ValueError("a curve needs at least one derivative coefficient")
-        for m in mats:
-            if _linalg.shape(m) != (self.dim, self.dim):
-                raise ValueError("coefficient matrices must be dim x dim")
+        if any(_linalg.shape(m) != (self.dim, self.dim) for m in mats):
+            raise ValueError("coefficient matrices must be dim x dim")
         object.__setattr__(self, "coefficients", mats)
 
     @property
@@ -81,7 +80,7 @@ class MatrixCurveJet:
         return self.coefficients[0]
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        return _linalg.polyval(self.coefficients, Fraction(lam) - self.base_point)
+        return _poly.mat_eval_at(self.polynomial_lift(), Fraction(lam) - self.base_point)
 
     def polynomial_lift(self):
         return _poly.mat_lift(self.coefficients)
@@ -176,8 +175,8 @@ def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPa
     # one elimination of [T | scan]: the pivots below n are T's, those at n
     # and above the scanned standard vectors that complete R[T]
     e = _linalg.identity(n)  # its rows are e_0 ... e_{n-1}
-    scan = e[::-1] if reverse else e
-    red, pivots = _linalg.rref(tuple(a + b for a, b in zip(t, _linalg.hstack(scan, n))))
+    scan = e[::-1] if reverse else e  # symmetric: its rows are its columns
+    red, pivots = _linalg.rref(tuple(a + b for a, b in zip(t, scan)))
     t_pivots = [j for j in pivots if j < n]
     kernel = _linalg.kernel_from_rref(red, t_pivots, n)
     range_b = [tuple(row[j] for row in t) for j in t_pivots]

@@ -75,22 +75,18 @@ class PolynomialPath:
         mats = tuple(_linalg.freeze(m) for m in self.coefficients)
         if not mats:
             raise ValueError("a path needs at least one coefficient matrix")
-        for m in mats:
-            if _linalg.shape(m) != (self.dim, self.dim):
-                raise ValueError("coefficient matrices must be dim x dim")
+        if any(_linalg.shape(m) != (self.dim, self.dim) for m in mats):
+            raise ValueError("coefficient matrices must be dim x dim")
         object.__setattr__(self, "coefficients", mats)
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        return _linalg.polyval(self.coefficients, lam)
+        return _poly.mat_eval_at(_poly.mat_lift(self.coefficients), lam)
 
     def determinant_polynomial(self):
         return _poly.mat_det_bareiss(_poly.mat_lift(self.coefficients))
 
     def is_admissible(self) -> bool:
-        return (
-            _linalg.det(self.evaluate(self.a)) != 0
-            and _linalg.det(self.evaluate(self.b)) != 0
-        )
+        return all(_linalg.det(self.evaluate(lam)) != 0 for lam in (self.a, self.b))
 
     def ensure_admissible(self) -> tuple[Fraction, Fraction]:
         """Raise NotAdmissible unless the path is invertible at both
@@ -153,15 +149,11 @@ class LoopPath:
         for i, s in enumerate(segs):
             t = segs[(i + 1) % len(segs)]
             if isinstance(s, AnalyticSegment) and isinstance(t, AnalyticSegment):
-                if len(segs) == 1:
-                    end, start = s.path.b, s.path.a
-                    if s.path.evaluate(end) != s.path.evaluate(start):
-                        raise ValueError(
-                            "a single-segment loop must close up exactly"
-                        )
-                elif s.path.evaluate(s.path.b) != t.path.evaluate(t.path.a):
+                if s.path.evaluate(s.path.b) != t.path.evaluate(t.path.a):
                     raise ValueError(
-                        f"segments {i} and {(i + 1) % len(segs)} do not share "
+                        "a single-segment loop must close up exactly"
+                        if len(segs) == 1
+                        else f"segments {i} and {(i + 1) % len(segs)} do not share "
                         "their endpoint matrix"
                     )
         object.__setattr__(self, "segments", segs)
@@ -244,16 +236,15 @@ def multiplicity_sum_parity(path: PolynomialPath) -> ParityValue:
     The local multiplicity at a root equals its multiplicity in the
     determinant polynomial, read off an exact square-free decomposition.
     """
-    det = path.determinant_polynomial()
+    det = _poly.primitive(path.determinant_polynomial())
     path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
     factors = _poly.squarefree_decomposition(det)
     crossings = []
-    total = 0
     for factor, mult in factors:
         for r in _poly.isolate_roots(factor, path.a, path.b):
             crossings.append(Crossing(location=r, multiplicity=mult))
-            total += mult
     crossings.sort(key=lambda c: c.location.midpoint())
+    total = sum(c.multiplicity for c in crossings)
     return ParityValue(sign=(-1) ** total, crossings=tuple(crossings))
 
 

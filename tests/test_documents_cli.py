@@ -167,6 +167,21 @@ def test_chi_malformed_curve_exits_2(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_entry_over_the_str_digit_limit_gets_one_short_line(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps(
+        {"dim": 1, "coefficients": [[["1" * (limit + 101)]], [["1"]]]}
+    ))
+    assert main(["chi", "--curve", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a rational: ") and err.count("\n") == 1
+    assert len(err) < 200 and f"more than {limit} digits" in err
+    # a short value is echoed whole, as before
+    with pytest.raises(errors.DocumentError, match=r"^not a rational: '1/0'$"):
+        documents.parse_rational("1/0")
+
+
 def test_witness_longer_than_the_str_digit_limit_is_printed_exactly(tmp_path, capsys):
     # det(diag(10^2200, 10^2200) + t·diag(1, 0)) = 10^4400 + 10^2200·t: the
     # witness has more digits than the int-to-str limit that guards parsing

@@ -16,6 +16,7 @@ from curveinv.exactnum import (
     jet_inverse,
     vanishing_order,
 )
+from curveinv.multiplicity import MatrixCurveJet
 
 F = Fraction
 T, ONE, ZERO = (0, 1), (1,), ()
@@ -373,6 +374,46 @@ def test_eval_at_is_rational_horner(coeffs, data):
         want = want * x + c
     got = _poly.eval_at(p, x)
     assert type(got) is F and got == want
+
+
+def _fraction_horner(coeffs, x):
+    """The reference value of sum_k coeffs[k] x^k, by Horner on Fractions."""
+    acc = coeffs[-1]
+    for mat in reversed(coeffs[:-1]):
+        acc = [[a * x + c for a, c in zip(ra, rm)] for ra, rm in zip(acc, mat)]
+    return tuple(tuple(F(c) for c in row) for row in acc)
+
+
+@st.composite
+def coefficient_matrices(draw):
+    """1 to 4 square coefficient matrices of one ring, int, ``Fraction`` or
+    mixed, with coefficients up to 2^200 and some entries zero."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    coeff = kron_coeffs[draw(st.sampled_from(sorted(kron_coeffs)))]
+    entry = st.one_of(st.just(0), coeff)
+    return [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+
+
+@settings(deadline=None)
+@given(
+    coefficient_matrices(),
+    st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=-9, max_value=F(-1, 9), max_denominator=50),
+        st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+# one coefficient matrix, every entry zero
+@example([[[0, 0], [0, 0]]], F(-1, 3), F(0))
+def test_mat_eval_at_is_fraction_horner(coeffs, x, base):
+    got = _poly.mat_eval_at(_poly.mat_lift(coeffs), x)
+    assert got == _fraction_horner(coeffs, x)
+    assert all(type(c) is F for row in got for c in row)
+    # a curve reads its coefficients as powers of lam - base
+    curve = MatrixCurveJet(len(coeffs[0]), base, [*coeffs, coeffs[0]])
+    assert curve.evaluate(base) == curve.constant_term()
+    assert curve.evaluate(base + x) == _fraction_horner(curve.coefficients, x)
 
 
 # -- integer blocks and one rescale (the Laurent route's block over Z) ---------

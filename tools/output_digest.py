@@ -14,15 +14,17 @@ multiplicity route (``schur`` and ``laurent`` with the default leftmost
 pair and with an explicit rightmost pair), a route's exception where it
 raises one, and the ``repr`` of ``algebraic_order``, of both pairs' ``P``
 and ``Q``, of ``schur_operator`` and of ``local_determinant``, of
-``is_kappa_transversal`` at every order 1..degree and of
-``nested_kernels`` through depth degree + 1.  For every fixture command
+``is_kappa_transversal`` at every order 1..degree, of
+``nested_kernels`` through depth degree + 1 and of ``evaluate`` at two
+points off the base point, one of them negative.  For every fixture command
 it holds the exit code, stdout, stderr and the ``--json`` report of one
 ``curveinv`` process: ``chi``, ``kappa``, ``classical`` and ``parity`` on
 the documents under ``tests/fixtures``, and the torus commands
 ``torsion``, ``theta``, ``weights`` and ``orientable``, a refusal with
 exit 3, five with exit 2 (a missing document among them) and the
 ``--help`` text of the program and of ``torsion``.  For every path it holds the
-``repr`` of the ``ParityValue`` of ``interval_parity``,
+``repr`` of ``evaluate`` at both endpoints and at the interior point
+(2a + b)/3, and of the ``ParityValue`` of ``interval_parity``,
 ``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
 their root locations), or the refusal a route raises
 (``NonTransversalCrossing`` on a repeated root).
@@ -164,7 +166,10 @@ def curve_dump(m, refusal, curve):
             return f"{type(exc).__name__}: {exc}"
 
     t = curve.constant_term()
+    # two points off the base point, the second always negative
+    off = (curve.base_point + Fraction(3, 11), -abs(curve.base_point) - Fraction(7, 5))
     lines = [
+        *[repr(curve.evaluate(x)) for x in off],
         _report_line(attempt(lambda: m.multiplicity_det(curve))),
         _report_line(attempt(lambda: m.multiplicity_transversal(curve))),
         repr(attempt(lambda: m.algebraic_order(curve))),
@@ -186,7 +191,8 @@ def curve_dump(m, refusal, curve):
 
 def path_dump(p, refusal, path):
     """The dump of one path; ``p`` is the parity module."""
-    lines = []
+    a, b = path.a, path.b
+    lines = [repr(path.evaluate(x)) for x in (a, b, (2 * a + b) / 3)]
     for route in (p.interval_parity, p.crossing_parity, p.multiplicity_sum_parity):
         try:
             lines.append(repr(route(path)))
