@@ -10,9 +10,9 @@ the coercing constructor for inputs.  The Euclidean kernels (``gcd``,
 ``div_exact``, ``squarefree_decomposition``, ``sturm_chain``) run over Z on
 primitive polynomials: a rational polynomial enters through ``primitive``,
 its positive multiple with coprime integer coefficients.  One
-fraction-free Bareiss elimination over Z[x], ``mat_eliminate``, gives both
-the determinant of a polynomial matrix (``mat_det_bareiss``) and the
-Schur complement of a leading block, over Z with one rational factor;
+fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
+determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
+complement of a leading block, over Z with one rational factor;
 ``mat_adjugate_det`` gives the adjugate modulo a power of x.  All
 operations are exact, no floating point anywhere.
 
@@ -36,6 +36,15 @@ products, whose w-bit signed digits are its coefficients.  The width
 output coefficient below 2^(w-1) in absolute value.  Its ring is that of
 ``mat_adjugate_det``: integer operands give integer polynomials, a
 ``Fraction`` anywhere gives ``Fraction``s, rescaled once.
+
+The elimination packs the same way, and then runs one Bareiss loop over Z
+on the integer matrix m(2^w).  Evaluation at 2^w is a ring homomorphism
+Z[x] -> Z, and every value the loop forms is a minor of the scaled
+matrix, whose sum of |coefficients| is at most the product of its rows'
+l1 norms.  The width is one bit past that bound, so a nonzero minor never
+evaluates to 0 (the pivots and swaps are those of the elimination over
+Z[x]) and every minor reads back exactly.  Each exact division by the
+previous pivot is read 2-adically, through one Newton inverse per step.
 
 Tuples of coefficients are built from lists, not generators: CPython
 grows a tuple fed by a generator by repeated resizing, and with big-int
@@ -490,27 +499,49 @@ def _unpack(v: int, w: int, top: int) -> Poly:
 
 
 def mat_eliminate(m: PolyMatrix, steps: int):
-    """``(det B, S, f)`` by fraction-free Bareiss elimination over Z[x].
+    """``(det B, S, f)`` by fraction-free Bareiss elimination over Z, on the
+    integer matrix m(2^w).
 
     ``B`` is the leading ``steps`` x ``steps`` block of m, and
     ``S~ = det(B) * (D - C * B^-1 * C')`` is its Schur complement scaled by
     ``det B``, over the trailing block ``D``; ``S~ = f*S`` with ``S``
     primitive over Z, which keeps the integers of a further elimination
-    small.  Denominators are cleared first, so the elimination runs on
-    integer coefficients, where the Bareiss divisions are exact.  It clears
-    the first ``steps`` columns with pivots (and row swaps) from the first
-    ``steps`` rows only; by Sylvester's identity every trailing entry is
-    then the bordered minor of ``B``, which is ``S~`` up to the swap sign
-    and the scale ``d`` of the integers: ``det B`` is rescaled by
+    small.  Denominators are cleared first (scale ``d``), and each entry is
+    packed into one integer, its value at x = 2^w.  The loop clears the
+    first ``steps`` columns with pivots (and row swaps) from the first
+    ``steps`` rows only.  By Sylvester's identity every value it forms is
+    a minor whose rows are some of the first ``steps`` rows plus one more,
+    and every trailing entry ends as the bordered minor of ``B``, which is
+    ``S~`` up to the swap sign and the scale: ``det B`` is rescaled by
     ``sign/d^steps``, and ``f = sign*g/d^(steps+1)`` for the content ``g``
-    of the trailing block.  Zero steps give ``(ONE, S, f)`` with
-    ``f*S = m``, all of them ``(det m, [], f)``.  A singular ``B`` gives
-    ``(ZERO, None, None)``: this elimination does not determine ``S~`` then.
+    of the trailing block.
+
+    Evaluation at 2^w is a ring homomorphism Z[x] -> Z, so each value is
+    its polynomial minor's value.  The sum of |coefficients| of such a
+    minor is at most the product of its rows' l1 norms, so at most
+    ``bound = prod_{i<steps} |row_i|_1 * max_{i>=steps} |row_i|_1`` (each
+    norm taken as at least 1).  With ``w = bits(bound) + 1`` every
+    coefficient lies below 2^(w-1) in absolute value: a nonzero minor never
+    evaluates to 0, so the pivots and swaps are those of the elimination
+    over Z[x], and ``_unpack`` reads each minor back exactly.  The Bareiss
+    division by the previous pivot ``prev = 2^t u`` (u odd) at step k is
+    exact over Z, and its quotient, a minor of k + 2 rows with at most
+    ``(k + 2) deg + 1`` coefficients, lies in the signed range of 2^K for
+    ``K = w ((k + 2) deg + 1)``.  So it is read 2-adically, as the
+    numerator shifted by t times the inverse of u mod 2^K, one Newton
+    inverse per step (plain ``//`` is quadratic in CPython).  Zero steps give
+    ``(ONE, S, f)`` with ``f*S = m``, all of them ``(det m, [], f)``.  A
+    singular ``B`` gives ``(ZERO, None, None)``: this elimination does not
+    determine ``S~`` then.
     """
     n = len(m)
-    a, d = to_int_matrix(m)
+    im, d = to_int_matrix(m)
+    norms = [max(sum([abs(c) for p in row for c in p]), 1) for row in im]
+    w = (math.prod(norms[:steps]) * max(norms[steps:], default=1)).bit_length() + 1
+    deg = max([len(p) for row in im for p in row] + [1]) - 1
+    a = [[_pack(p, w) for p in row] for row in im]
     sign = 1
-    prev = (1,)
+    prev = 1
     for k in range(steps):
         if not a[k][k]:
             for i in range(k + 1, steps):
@@ -520,16 +551,37 @@ def mat_eliminate(m: PolyMatrix, steps: int):
                     break
             else:
                 return ZERO, None, None
+        kbits = w * ((k + 2) * deg + 1)
+        modulus, half = 1 << kbits, 1 << (kbits - 1)
+        mask = modulus - 1
+        t = (prev & -prev).bit_length() - 1
+        inv = _inverse_mod_2k(prev >> t, kbits)
+        pivot, rk = a[k][k], a[k]
         for i in range(k + 1, n):
+            ri = a[i]
+            c = ri[k]
             for j in range(k + 1, n):
-                num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
-                a[i][j] = div_exact(num, prev)
-            a[i][k] = ()
-        prev = a[k][k]
-    det_b = poly(Fraction(sign * x, d**steps) for x in prev)
-    g = math.gcd(*[c for row in a[steps:] for p in row[steps:] for c in p]) or 1
-    s = [[tuple([c // g for c in p]) for p in row[steps:]] for row in a[steps:]]
+                q = ((ri[j] * pivot - c * rk[j]) >> t & mask) * inv & mask
+                ri[j] = q - modulus if q >= half else q
+            ri[k] = 0
+        prev = pivot
+    det_b = poly(Fraction(sign * x, d**steps) for x in _unpack(prev, w, steps * deg + 1))
+    top = (steps + 1) * deg + 1
+    s = [[_unpack(v, w, top) for v in row[steps:]] for row in a[steps:]]
+    g = math.gcd(*[c for row in s for p in row for c in p]) or 1
+    s = [[tuple([c // g for c in p]) for p in row] for row in s]
     return det_b, s, Fraction(sign * g, d ** (steps + 1))
+
+
+def _inverse_mod_2k(u: int, k: int) -> int:
+    """The inverse of an odd u modulo 2^k, by Newton's iteration
+    x -> x (2 - u x), which doubles the bits of x that are right."""
+    x, bits = 1, 1
+    while bits < k:
+        bits = min(2 * bits, k)
+        mask = (1 << bits) - 1
+        x = x * (2 - (u & mask) * x) & mask
+    return x
 
 
 def mat_det_bareiss(m: PolyMatrix) -> Poly:

@@ -66,6 +66,19 @@ _PARITY_ROUTES = {
 _TORUS_DEFAULTS = (("cutoff", "DEFAULT_CUTOFF"), ("period", "DEFAULT_PERIOD"))
 
 
+def _int_flag(text: str) -> int:
+    """``int(text)`` for an integer flag; a rejected value is echoed through
+    ``documents._shown``, naming the int-to-str digit limit when it was
+    the reason."""
+    try:
+        return int(text)
+    except ValueError:
+        why = documents._digit_limit(text)
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {documents._shown(text)}{why}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curveinv",
@@ -79,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="write a machine-readable report"
     )
     cutoff_flag = argparse.ArgumentParser(add_help=False)
-    cutoff_flag.add_argument("--cutoff", type=int)
+    cutoff_flag.add_argument("--cutoff", type=_int_flag)
     torus_flags = argparse.ArgumentParser(add_help=False)
-    torus_flags.add_argument("--n", type=int, required=True)
+    torus_flags.add_argument("--n", type=_int_flag, required=True)
     torus_flags.add_argument("--period", type=float)
     torus = (torus_flags, cutoff_flag)
 
@@ -117,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--kind", choices=("plain", "alternating"), default="plain")
 
     p_weights = command("weights", "deck-class weight table", *torus)
-    p_weights.add_argument("--max-class", type=int, default=2)
+    p_weights.add_argument("--max-class", type=_int_flag, default=2)
 
     p_orient = command("orientable", "orientability of a bundle class", *torus)
     p_orient.add_argument("--signs", required=True, metavar="s1,s2,...")

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 def parse_rational(value) -> Fraction:
     """Exact rational from a document scalar ("3/4", "-2", or an int)."""
     if isinstance(value, bool):
-        raise DocumentError(f"not a rational: {value!r}")
+        raise DocumentError(f"not a rational: {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -41,16 +41,28 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            digits = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
-            why = f": a number has more than {limit} digits" if 0 < limit < digits else ""
-            raise DocumentError(f"not a rational: {_shown(value)}{why}") from exc
-    raise DocumentError(f"not a rational: {value!r}")
+            raise DocumentError(
+                f"not a rational: {_shown(value)}{_digit_limit(value)}"
+            ) from exc
+    raise DocumentError(f"not a rational: {_shown(value)}")
 
 
-def _shown(value: str) -> str:
-    """``repr(value)``, or past 60 characters its first 40 and its length."""
-    return repr(value) if len(value) <= 60 else f"{value[:40]!r}... ({len(value)} characters)"
+def _shown(value) -> str:
+    """``repr(value)``, or past 60 characters the first 40 of the string (of
+    the ``repr`` of any other value) and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"
+
+
+def _digit_limit(value: str) -> str:
+    """``": a number has more than N digits"`` when a run of digits in
+    ``value`` passes the int-to-str limit N, else ``""``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
+    return f": a number has more than {limit} digits" if 0 < limit < digits else ""
 
 
 def format_rational(q: Fraction) -> str:
@@ -184,7 +196,7 @@ def loop_from_document(obj) -> LoopPath:
         elif kind == "analytic":
             parsed.append(AnalyticSegment(path_from_document(seg)))
         else:
-            raise DocumentError(f"unknown segment kind: {kind!r}")
+            raise DocumentError(f"unknown segment kind: {_shown(kind)}")
     try:
         return LoopPath(tuple(parsed))
     except (ValueError, TypeError) as exc:

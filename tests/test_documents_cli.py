@@ -182,6 +182,49 @@ def test_entry_over_the_str_digit_limit_gets_one_short_line(tmp_path, capsys):
         documents.parse_rational("1/0")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--cutoff"],
+        ["torsion", "--signs=1", "--n"],
+        ["weights", "--n", "1", "--max-class"],
+    ],
+)
+def test_integer_flag_over_the_str_digit_limit_gets_one_short_line(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main([*argv, "1" * (limit + 700)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    # argparse's usage lines, then its one error line
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert max(map(len, lines)) < 200 and f"more than {limit} digits" in lines[-1]
+    assert f"invalid int value: '{'1' * 40}'... ({limit + 700} characters)" in lines[-1]
+    # a short value is echoed whole, as argparse's own int check did
+    assert main([*argv, "x2"]) == 2
+    assert capsys.readouterr().err.endswith(f"argument {argv[-1]}: invalid int value: 'x2'\n")
+
+
+def test_long_unknown_segment_kind_gets_one_short_line(tmp_path, capsys):
+    doc = tmp_path / "loop.json"
+    doc.write_text(json.dumps({"segments": [{"kind": "k" * 5000}]}))
+    assert main(["parity", "loop", "--loop", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown segment kind: 'kkk") and err.count("\n") == 1
+    assert len(err) < 200 and "(5000 characters)" in err
+    with pytest.raises(errors.DocumentError, match=r"^unknown segment kind: None$"):
+        documents.loop_from_document({"segments": [{}]})
+
+
+def test_long_non_string_entry_gets_one_short_line(tmp_path, capsys):
+    doc = tmp_path / "list.json"
+    doc.write_text(json.dumps({"dim": 1, "coefficients": [[[[1] * 5000]], [["1"]]]}))
+    assert main(["chi", "--curve", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a rational: [1, 1, ") and err.count("\n") == 1
+    assert len(err) < 200 and "(15000 characters)" in err
+    with pytest.raises(errors.DocumentError, match=r"^not a rational: \[1, 2\]$"):
+        documents.parse_rational([1, 2])
+
+
 def test_witness_longer_than_the_str_digit_limit_is_printed_exactly(tmp_path, capsys):
     # det(diag(10^2200, 10^2200) + t·diag(1, 0)) = 10^4400 + 10^2200·t: the
     # witness has more digits than the int-to-str limit that guards parsing

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact jet/Laurent arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -334,6 +335,86 @@ def test_mat_mul_is_the_schoolbook_product(operands):
     want = _schoolbook([[p[:1] for p in row] for row in a], b, 1)
     assert prod == tuple(tuple(p[0] if p else F(0) for p in row) for row in want)
     assert all(type(c) is F for row in prod for c in row)
+
+
+# -- elimination over Z at x = 2^w ----------------------------------------------
+
+
+def _bareiss_over_zx(m, steps):
+    """The reference elimination over Z[x]: ``mat_eliminate``'s loop with one
+    polynomial product and one exact polynomial division per entry."""
+    n = len(m)
+    a, d = _poly.to_int_matrix(m)
+    sign, prev = 1, (1,)
+    for k in range(steps):
+        if not a[k][k]:
+            for i in range(k + 1, steps):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return _poly.ZERO, None, None
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _poly.sub(_poly.mul(a[i][j], a[k][k]), _poly.mul(a[i][k], a[k][j]))
+                a[i][j] = _poly.div_exact(num, prev)
+            a[i][k] = ()
+        prev = a[k][k]
+    det_b = _poly.poly(F(sign * x, d**steps) for x in prev)
+    g = math.gcd(*[c for row in a[steps:] for p in row[steps:] for c in p]) or 1
+    s = [[tuple([c // g for c in p]) for p in row[steps:]] for row in a[steps:]]
+    return det_b, s, F(sign * g, d ** (steps + 1))
+
+
+@st.composite
+def elimination_matrices(draw):
+    """An n x n polynomial matrix, n up to 6, of one ring, int, ``Fraction``
+    or mixed, with coefficients up to 2^200.  Some rows are zero; some fill
+    every coefficient with +-c for one c = 2^b - 1, so that the minors reach
+    the packing's width bound; some draws zero the leading column, which
+    forces a swap or a singular leading block."""
+    n = draw(st.integers(0, 6))
+    coeff = kron_coeffs[draw(st.sampled_from(sorted(kron_coeffs)))]
+    entry = st.one_of(st.just(()), st.lists(coeff, max_size=4).map(_poly._trim))
+    size = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "tight"]))
+        if kind == "zero":
+            rows.append([()] * n)
+        elif kind == "tight":
+            c = 2 ** draw(st.integers(1, 200)) - 1
+            rows.append([tuple([draw(st.sampled_from([-c, c])) for _ in range(size)])
+                         for _ in range(n)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    if n and draw(st.integers(0, 3)) == 0:
+        for row in rows:
+            row[0] = ()
+    return rows
+
+
+C = 2**200 - 1
+
+
+@settings(deadline=None)
+@given(elimination_matrices())
+# the coefficient C needs the sign bit of the packing width
+@example([[(C,)]])
+# det 2 C^2 reaches the product of the rows' l1 norms, twice their l-inf's
+@example([[(C,), (C,)], [(-C,), (C,)]])
+# a zero leading column: a swap, then a singular leading block
+@example([[(), (1,), ()], [(), (), (1,)], [(1,), (), ()]])
+def test_mat_eliminate_is_the_polynomial_bareiss(m):
+    for steps in range(len(m) + 1):
+        got = _poly.mat_eliminate(m, steps)
+        assert got == _bareiss_over_zx(m, steps), steps
+        det_b, s, f = got
+        assert all(type(c) is F for c in det_b)
+        if s is not None:
+            assert type(f) is F
+            assert all(type(c) is int for row in s for p in row for c in p)
 
 
 @settings(deadline=None)

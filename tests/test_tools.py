@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from conftest import curve_with_known_multiplicity
@@ -26,3 +27,31 @@ def test_digest_curves_are_the_criterion_1_draws():
     assert [(c.coefficients, c.base_point) for c in expected] == [
         (c.coefficients, c.base_point) for c in drawn
     ]
+
+
+def test_route_times_checks_each_route_and_caps_each_cell(capsys):
+    times = _load("route_times")
+    root = TOOLS.parent
+    assert times.main([str(root), "--sizes", "3"]) == 0
+    header, rule, row = capsys.readouterr().out.splitlines()
+    assert header == "| n | `ord-det` | `schur` | `laurent` | `transversal` |"
+    cells = row.split(" | ")[1:]
+    assert row.startswith("| 3 | ") and len(cells) == 4
+    # a time, or a time and the refusal of a route that declines
+    assert all(float(c.split()[0]) >= 0 for c in cells)
+    assert times.main([str(root), "--sizes", "3", "--timeout", "0.001"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| 3 |" + " > 0.001 s |" * 4
+
+
+def test_route_times_curves_are_the_suite_draws():
+    # the tool draws with the benchmark's generator: the suite's curve, draw for draw
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(TOOLS.parent / "perfbench"))
+    for n in (3, 12):
+        want, value = curve_with_known_multiplicity(random.Random(3), n)
+        got, expected = gen.curve_with_known_multiplicity(random.Random(3), n)
+        assert (got.coefficients, got.base_point, expected) == (
+            want.coefficients, want.base_point, value)
