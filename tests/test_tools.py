@@ -29,18 +29,15 @@ def test_digest_curves_are_the_criterion_1_draws():
     ]
 
 
-def test_route_times_checks_each_route_and_caps_each_cell(capsys):
+def test_route_times_checks_each_route_and_caps_each_cell():
     times = _load("route_times")
     root = TOOLS.parent
-    assert times.main([str(root), "--sizes", "3"]) == 0
-    header, rule, row = capsys.readouterr().out.splitlines()
-    assert header == "| n | `ord-det` | `schur` | `laurent` | `transversal` |"
-    cells = row.split(" | ")[1:]
-    assert row.startswith("| 3 | ") and len(cells) == 4
-    # a time, or a time and the refusal of a route that declines
-    assert all(float(c.split()[0]) >= 0 for c in cells)
-    assert times.main([str(root), "--sizes", "3", "--timeout", "0.001"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "| 3 |" + " > 0.001 s |" * 4
+    for route in times.ROUTES:
+        # a time, or a time and the refusal of a route that declines
+        cell = times.cell(root, 3, route, 120)
+        assert float(cell.split()[0]) >= 0, cell
+        assert "WRONG" not in cell and not cell.startswith("exit")
+        assert times.cell(root, 3, route, 0.001) == "> 0.001 s"
 
 
 def test_route_times_curves_are_the_suite_draws():

@@ -1,10 +1,10 @@
 """Time each multiplicity route on larger curves, one process per cell.
 
-    python3 tools/route_times.py ROOT [--sizes 12,16,20,24] [--timeout 120]
+    python3 tools/route_times.py ROOT
 
-runs the curveinv source under ``ROOT/src``.  For every size n it builds
-``curve_with_known_multiplicity(random.Random(3), n)`` with the benchmark's
-generator, ``ROOT/perfbench/gen.py`` (the test suite's draws, draw for
+runs the curveinv source under ``ROOT/src``.  For every size n in
+``SIZES`` it builds ``curve_with_known_multiplicity(random.Random(3), n)``
+with the benchmark's generator, ``ROOT/perfbench/gen.py`` (the test suite's draws, draw for
 draw), and runs each route, ``ord-det``, ``schur``, ``laurent`` and
 ``transversal``, on it in a fresh interpreter, one process at a time.  A
 cell reads the CPU time of that process spent in the route call alone
@@ -12,7 +12,7 @@ cell reads the CPU time of that process spent in the route call alone
 seconds.  The route's value is checked against the known multiplicity: a
 wrong value prints ``WRONG <value> != <expected>``, a documented refusal
 prints its exception's name (``NotTransversal`` where the transversal
-route declines).  A cell still running after ``--timeout`` seconds of
+route declines).  A cell still running after ``TIMEOUT`` seconds of
 wall time is killed and prints ``> T s``.  The output is one markdown
 table, a row per size, printed as each row completes; two checkouts are
 compared by running this on each in the same spell.
@@ -20,11 +20,13 @@ compared by running this on each in the same spell.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+SIZES = (12, 16, 20, 24)
+TIMEOUT = 120.0
 
 ROUTES = {
     "ord-det": "multiplicity_det",
@@ -71,22 +73,20 @@ def cell(root: Path, n: int, route: str, timeout: float) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", type=Path)
-    parser.add_argument("--sizes", default="12,16,20,24")
-    parser.add_argument("--timeout", type=float, default=120.0)
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/route_times.py ROOT", file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
     if not (root / "src" / "curveinv" / "__init__.py").is_file():
         print(f"no curveinv source under {root / 'src'}", file=sys.stderr)
         return 2
     print("| n | " + " | ".join(f"`{r}`" for r in ROUTES) + " |")
     print("| --- " * (len(ROUTES) + 1) + "|", flush=True)
-    for n in map(int, args.sizes.split(",")):
-        cells = [cell(root, n, r, args.timeout) for r in ROUTES]
+    for n in SIZES:
+        cells = [cell(root, n, r, TIMEOUT) for r in ROUTES]
         print(f"| {n} | " + " | ".join(cells) + " |", flush=True)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
