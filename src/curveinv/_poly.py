@@ -24,7 +24,9 @@ once the same way, and a Sturm sign is its sign, never divided, as d > 0.
 The bisection of ``count_roots_open`` and ``isolate_roots`` keeps each
 point as an integer N over q 2^e, with q the lcm of the endpoints'
 denominators, and halves an interval by adding numerators; only a
-reported root or bracket becomes a ``Fraction``.
+reported root or bracket becomes a ``Fraction``.  The Sturm chain
+separates the roots; once an interval holds one, the sign of p alone
+refines it, as a simple root is the only place there where p changes sign.
 
 Every matrix product, polynomial or rational (``_linalg.matmul`` is its
 degree-0 case), is the one ``mat_mul``, by Kronecker substitution: the
@@ -281,9 +283,11 @@ def _variations(chain, n: int, d: int, pn) -> int:
 
 
 def _sturm_endpoints(p: Poly, a, b):
-    """The Sturm chain of p, q = lcm(den a, den b), and the integer
-    numerators ``a*q``, ``b*q`` of the endpoints over q with their
-    variations; raises ValueError unless a < b and neither is a root."""
+    """The Sturm chain of p, q = lcm(den a, den b), and for each endpoint
+    its integer numerator over q (``a*q``, ``b*q``), whether p is positive
+    there and its variations; raises ValueError unless a < b and neither
+    is a root.  The sign of p at a is what the refinement of an isolated
+    root starts from, read here so that no point is evaluated twice."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError(f"the interval ({a}, {b}) must satisfy a < b")
@@ -296,14 +300,14 @@ def _sturm_endpoints(p: Poly, a, b):
         pn = eval_numerator(chain[0], n, q)
         if pn == 0:
             raise ValueError(f"the endpoint {x} is a root")
-        ends += [n, _variations(chain, n, q, pn)]
+        ends += [n, pn > 0, _variations(chain, n, q, pn)]
     return chain, q, ends
 
 
 def count_roots_open(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b); requires a < b and
     p(a), p(b) != 0."""
-    _, _, (_, va, _, vb) = _sturm_endpoints(p, a, b)
+    _, _, (_, _, va, _, _, vb) = _sturm_endpoints(p, a, b)
     return va - vb
 
 
@@ -337,30 +341,40 @@ class RootLocation:
 def isolate_roots(p: Poly, a, b):
     """Locations of the distinct real roots of a square-free p in (a, b).
 
-    One Sturm chain drives the bisection, on integers: with q = lcm(den a,
-    den b), every point is a pair (N, e) standing for N / (q 2^e), the
-    endpoints are (a q, 0) and (b q, 0), and the midpoint of (lo, e) and
-    (hi, e) is (lo + hi, e + 1).  Signs are those of the numerators
-    ``eval_numerator``, never divided, as q 2^e > 0.  A midpoint that is a
-    root is reported exactly and splits its interval in two; the other
-    roots come back as isolating intervals, halved ``REFINE_STEPS`` times
-    once they are isolated.  Only reported points become ``Fraction``s,
-    equal to the midpoints ``(lo + hi) / 2`` of a bisection on
-    ``Fraction``s.  Sorted by position.  Requires a < b and p(a), p(b) != 0,
-    and raises ValueError otherwise or when p has a repeated root.
+    The bisection runs on integers: with q = lcm(den a, den b), every point
+    is a pair (N, e) standing for N / (q 2^e), the endpoints are (a q, 0)
+    and (b q, 0), and the midpoint of (lo, e) and (hi, e) is (lo + hi,
+    e + 1).  Signs are those of the numerators ``eval_numerator``, never
+    divided, as q 2^e > 0.  One Sturm chain separates the roots: its
+    variations count the roots of each half while an interval holds two or
+    more.  A midpoint that is a root is reported exactly and splits its
+    interval in two.  Each other root comes back as an isolating interval,
+    halved ``REFINE_STEPS`` times once it is isolated, by the sign of p
+    alone: the root is simple and the only one there, so p has one sign
+    between lo and the root and the other after it.  Each interval carries
+    the sign of p just right of its lo: p(a) at the start, p at a split's
+    nonzero midpoint, and past a root on a midpoint the sign flipped once
+    for each of the roots the counts put up to it.  Every midpoint, the
+    last included, is still tested as a root, so the locations are those
+    the full chain gives at every halving.  Only reported points become
+    ``Fraction``s, equal to the midpoints ``(lo + hi) / 2`` of a bisection
+    on ``Fraction``s.  Sorted by position.  Requires a < b and p(a),
+    p(b) != 0, and raises ValueError otherwise or when p has a repeated
+    root.
     """
-    chain, q, (na, va, nb, vb) = _sturm_endpoints(p, a, b)
+    chain, q, (na, up, va, nb, _, vb) = _sturm_endpoints(p, a, b)
     # the chain ends in gcd(p, p'): a repeated root on a midpoint would
     # leave no sign there, and the counts would go wrong
     if degree(chain[-1]) > 0:
         raise ValueError("root isolation needs a square-free polynomial")
     roots = []
-    # (lo, hi, e, vlo, vhi, steps): the interval (lo, hi) / (q 2^e) holds
-    # vlo - vhi roots, and has been halved ``steps`` times since it held
-    # a single root
-    stack = [(na, nb, 0, va, vb, 0)]
+    # (lo, hi, e, vlo, vhi, up, steps): the interval (lo, hi) / (q 2^e)
+    # holds vlo - vhi roots, p is positive just right of lo when ``up``,
+    # and the interval has been halved ``steps`` times since it held a
+    # single root
+    stack = [(na, nb, 0, va, vb, up, 0)]
     while stack:
-        lo, hi, e, vlo, vhi, steps = stack.pop()
+        lo, hi, e, vlo, vhi, up, steps = stack.pop()
         count = vlo - vhi
         if count == 0:
             continue
@@ -371,16 +385,24 @@ def isolate_roots(p: Poly, a, b):
             roots.append(RootLocation(lo=x, hi=x, exact=x))
             if count > 1:
                 vmid = _variations(chain, mid, d, pmid)
-                # across a simple root the sign sequence loses one variation
-                stack.append((2 * lo, mid, e + 1, vlo, vmid + 1, 0))
-                stack.append((mid, 2 * hi, e + 1, vmid, vhi, 0))
+                # across a simple root the sign sequence loses one
+                # variation, and p changes sign across each of the vlo - vmid
+                # roots in (lo, mid]
+                stack.append((2 * lo, mid, e + 1, vlo, vmid + 1, up, 0))
+                stack.append((mid, 2 * hi, e + 1, vmid, vhi, up != (vlo - vmid) % 2, 0))
         elif steps == REFINE_STEPS:
             roots.append(RootLocation(lo=Fraction(lo, q << e), hi=Fraction(hi, q << e)))
+        elif count == 1:
+            # p changes sign across its one root here and nowhere else, so
+            # the sign at mid picks the half, with no variations
+            if (pmid > 0) != up:
+                stack.append((2 * lo, mid, e + 1, 1, 0, up, steps + 1))
+            else:
+                stack.append((mid, 2 * hi, e + 1, 1, 0, up, steps + 1))
         else:
             vmid = _variations(chain, mid, d, pmid)
-            steps = steps + 1 if count == 1 else 0
-            stack.append((2 * lo, mid, e + 1, vlo, vmid, steps))
-            stack.append((mid, 2 * hi, e + 1, vmid, vhi, steps))
+            stack.append((2 * lo, mid, e + 1, vlo, vmid, up, 0))
+            stack.append((mid, 2 * hi, e + 1, vmid, vhi, pmid > 0, 0))
     roots.sort(key=RootLocation.midpoint)
     return roots
 

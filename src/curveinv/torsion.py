@@ -40,6 +40,11 @@ class CutoffTooSmall(PreconditionError):
     """The lattice cutoff does not cover the requested deck class."""
 
 
+class CancelledToRounding(PreconditionError):
+    """The alternating lattice sum cancelled to rounding noise: a twisted
+    factor lies in (0, 1], and a computed sum <= 0 determines none."""
+
+
 @dataclass(frozen=True)
 class FlatTorus:
     """Flat n-torus with a common period in every coordinate.
@@ -326,7 +331,9 @@ def torsion_invariant(
     alternating by the plain Gaussian sum.  The error bound follows the
     truncation tails through the quotient and the product.  A period whose
     tail cannot be certified is refused for every class, the trivial one
-    included.
+    included.  A twisted class is refused where the computed alternating
+    sum is <= 0: the true one is positive (a Jacobi theta value), and the
+    bound, which ignores rounding, would claim the wrong sign exact.
     """
     if zeta.n != torus.n:
         raise ValueError("homomorphism rank must match the torus dimension")
@@ -340,6 +347,11 @@ def torsion_invariant(
             error_bound=0.0,
             signs=zeta.signs,
             torus=torus,
+        )
+    if alt <= 0.0:
+        raise CancelledToRounding(
+            f"the alternating lattice sum at period {torus.period!r} cancelled to "
+            f"rounding ({alt!r}), so no twisted factor in (0, 1] can be computed"
         )
     ratio = alt / plain
     # |true ratio - ratio| <= tail*(plain + |alt|) / (plain*(plain - tail))

@@ -452,6 +452,20 @@ def test_overflowing_lattice_sum_exits_3(argv, capsys, tmp_path):
     assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["torsion", "orientable"])
+def test_cancelled_alternating_sum_exits_3(command, capsys, tmp_path):
+    # at this period and cutoff the alternating sum cancels to -7.3e-17
+    out = tmp_path / "t.json"
+    argv = [command, "--n", "1", "--signs=-1", "--period", "0.025"]
+    argv += ["--cutoff", "1000000", "--json", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err
+    assert err.startswith("precondition violated: the alternating lattice sum")
+    assert "cancelled to rounding" in err and err.count("\n") == 1
+
+
 HUGE_CUTOFF = "1" + "0" * 200
 
 

@@ -411,6 +411,29 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
         assert r.hi - r.lo == F(1, 2**17)
 
 
+def test_isolate_roots_refines_by_the_sign_of_p(monkeypatch):
+    # x^3 - 3x + 1 has one root in (0, 1), near 0.347: the chain's other
+    # members count it at the endpoints and are read nowhere else
+    p = _poly.poly((1, -3, 0, 1))
+    chain = _poly.sturm_chain(p)
+    points = []
+    evaluate = _poly.eval_numerator
+    monkeypatch.setattr(
+        _poly,
+        "eval_numerator",
+        lambda q, n, d: points.append((q, F(n, d))) or evaluate(q, n, d),
+    )
+    [root] = _poly.isolate_roots(p, F(0), F(1))
+    assert root.exact is None and root.hi - root.lo == F(1, 2**_poly.REFINE_STEPS)
+    assert evaluate(p, root.lo.numerator, root.lo.denominator) > 0
+    assert evaluate(p, root.hi.numerator, root.hi.denominator) < 0
+    others = [point for point in points if point[0] != chain[0]]
+    assert len(chain) > 2
+    assert sorted(others) == sorted((q, F(x)) for q in chain[1:] for x in (0, 1))
+    # p at both endpoints and at every midpoint of the refinement
+    assert len(points) - len(others) == 2 + _poly.REFINE_STEPS + 1
+
+
 def _fraction_value(q, x):
     """q(x) by rational Horner."""
     acc = F(0)
@@ -460,7 +483,10 @@ def bisection_cases(draw):
     lcm(den a, den b) is mostly not a power of 2) and a polynomial of
     degree <= 8 whose rational roots lie on the interval's bisection
     midpoints or at random rationals, times a random factor; neither
-    endpoint is a root."""
+    endpoint is a root.  A midpoint lies 1 to 6 halvings below (a, b),
+    where the separation meets it, or 7 to ``REFINE_STEPS + 2``, where the
+    refinement of a root isolated one or two halvings down meets it, down
+    to its last check."""
     ends = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     a = draw(ends)
     b = draw(ends.filter(lambda x: x != a))
@@ -468,8 +494,11 @@ def bisection_cases(draw):
     midpoints = st.builds(
         lambda k, e: a + (b - a) * F(k, 2**e), st.integers(1, 63), st.integers(1, 6)
     )
+    deep = st.integers(7, _poly.REFINE_STEPS + 2).flatmap(
+        lambda e: st.integers(1, 2**e - 1).map(lambda k: a + (b - a) * F(k, 2**e))
+    )
     p = _poly.ONE
-    for r in draw(st.lists(st.one_of(midpoints, ends), max_size=4)):
+    for r in draw(st.lists(st.one_of(midpoints, deep, ends), max_size=4)):
         p = _poly.mul(p, (-r, F(1)))
     small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     cap = 8 - _poly.degree(p)
@@ -488,6 +517,13 @@ def bisection_cases(draw):
         F(-2, 3),
         F(5, 7),
     )
+)
+# on (-1, 1) the first midpoint 0 is a root with -4/5 left of it, so an even
+# count of roots up to it, and x^2 - 2x + 1/2 puts 1 - sqrt(1/2) right of
+# it: its refinement starts from a sign the counts give, unflipped (the
+# example above flips it, with three roots up to 1/42)
+@example(
+    (_poly.mul(_poly.mul((F(4, 5), F(1)), (0, F(1))), (F(1, 2), -2, F(1))), F(-1), F(1))
 )
 def test_integer_bisection_matches_fraction_bisection(case):
     p, a, b = case

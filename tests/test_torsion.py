@@ -82,6 +82,19 @@ def test_lattice_sum_overflow_is_a_precondition():
             wiener_weight(torus, (0,) * torus.n)
 
 
+def test_twisted_class_is_refused_where_the_alternating_sum_cancels():
+    # a twisted factor is about 2 exp(-pi^2 / (4 decay)) > 0, far below the
+    # rounding of the sums at these periods, where the computed alternating
+    # sum reads <= 0: -1.5e-19 and -7.3e-17
+    for period, cutoff in ((1e-5, 10**12), (0.025, 10**6)):
+        torus = FlatTorus(1, period=period)
+        with pytest.raises(torsion.CancelledToRounding, match="cancelled to"):
+            torsion_invariant(torus, Z2Homomorphism((-1,)), cutoff)
+    assert issubclass(torsion.CancelledToRounding, PreconditionError)
+    # the trivial class reads no alternating sum
+    assert torsion_invariant(torus, Z2Homomorphism((1,)), cutoff).value == 1.0
+
+
 def test_heat_prefactor_overflow_is_a_precondition():
     # (4 pi t) ** (-n/2) alone leaves float range: the power raises
     with pytest.raises(PreconditionError, match="heat-kernel normalization"):
