@@ -385,9 +385,9 @@ def isolate_roots(p: Poly, a, b):
             roots.append(RootLocation(lo=x, hi=x, exact=x))
             if count > 1:
                 vmid = _variations(chain, mid, d, pmid)
-                # across a simple root the sign sequence loses one
-                # variation, and p changes sign across each of the vlo - vmid
-                # roots in (lo, mid]
+                # across a simple root the sign sequence loses one variation,
+                # and p changes sign across each of the vlo - vmid roots in
+                # (lo, mid]
                 stack.append((2 * lo, mid, e + 1, vlo, vmid + 1, up, 0))
                 stack.append((mid, 2 * hi, e + 1, vmid, vhi, up != (vlo - vmid) % 2, 0))
         elif steps == REFINE_STEPS:
