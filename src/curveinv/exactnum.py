@@ -12,8 +12,10 @@ Coefficients follow ``_poly``'s rule: a jet keeps the ring of its
 coefficients.  The constructor keeps an all-``int`` tuple as it is and
 makes any other one ``Fraction``s, so a jet is integer or rational
 throughout; the ring operations keep the ring of their operands (integer
-jets stay integer, with no ``Fraction`` built), and only ``jet_inverse``
-divides, exactly, into Q.  The jet of the zero polynomial is rational.
+jets stay integer, with no ``Fraction`` built).  Only ``jet_inverse``
+leaves Z: it scales a rational jet to integers, runs its recurrence over Z
+and divides once per coefficient, exactly, into Q.  The jet of the zero
+polynomial is rational.
 
 All values are immutable and all operations are pure functions; everything
 in this module is safe to share between threads.
@@ -21,6 +23,7 @@ in this module is safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,18 +165,28 @@ class Jet:
 def jet_inverse(a: Jet) -> Jet:
     """Multiplicative inverse of a unit jet, to the same known order.
 
-    Rational for every unit: the constant term is divided exactly.
+    Runs over Z: with ``d`` the lcm of the denominators, ``d*a`` has integer
+    coefficients ``a_j``, and ``1/(d*a) = sum b_k/a_0^(k+1) t^k`` for the
+    integers ``b_0 = 1``, ``b_k = -sum_{j=1..k} a_j a_0^(j-1) b_(k-j)``.  The
+    only division is the one ``Fraction(d*b_k, a_0^(k+1))`` per coefficient,
+    so the result is rational for every unit, with the coefficients of the
+    ``Fraction`` recurrence ``c_k = -(1/a_0) sum_j a_j c_(k-j)``.
     """
     if a.coeffs[0] == 0:
         raise NotAUnit("constant term vanishes; the jet has no inverse")
-    n = a.known_order
-    inv0 = Fraction(1, a.coeffs[0])
-    out = [inv0] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            s += a.coeffs[j] * out[k - j]
-        out[k] = -inv0 * s
+    d = math.lcm(*[c.denominator for c in a.coeffs])
+    a0, *rest = [c.numerator * (d // c.denominator) for c in a.coeffs]
+    weighted, power = [], 1  # a_j * a_0^(j-1), for j = 1..n
+    for x in rest:
+        weighted.append(x * power)
+        power *= a0
+    b = [1]
+    for k in range(1, len(rest) + 1):
+        b.append(-sum(x * y for x, y in zip(weighted, reversed(b))))
+    out, den = [], a0
+    for bk in b:
+        out.append(Fraction(d * bk, den))
+        den *= a0
     return Jet(tuple(out))
 
 

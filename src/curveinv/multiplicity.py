@@ -434,8 +434,9 @@ def multiplicity_laurent(
 ) -> MultiplicityReport:
     """Multiplicity through the inverse curve.
 
-    Builds the Laurent expansion of the inverse, compresses it to the
-    kernel coordinates (rows) and the range-complement basis (columns),
+    Builds the Laurent expansion of the inverse, adj L / det L, from one
+    exact adjugate, compresses it to the kernel coordinates (rows) and the
+    range-complement basis (columns), reads it through doubling windows,
     and returns the order of the determinant of that block's inverse.
     """
     pair = _pair_for(curve, pair)
@@ -457,37 +458,35 @@ def multiplicity_laurent(
         _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
     )
 
+    # one adjugate at ``full`` is exact (deg adj L < deg det L <= n * degree
+    # < full), and so is the compression A*adj*B; each window below only
+    # reads slices of the two, as a recomputation modulo x^work would give
+    adj, det = _poly.mat_adjugate_det(lift, mod_order=full)
+    det_ord = _poly.low_order(det)
+    if det_ord is None:
+        raise SingularToKnownOrder(
+            "determinant is the zero polynomial; the base point is not isolated"
+        )
+    compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj), b_cols)
     work = min(max(2 * curve.degree + 6, 8), full)
-    det_ord = None
-    cap = None
+    while det_ord >= work:
+        work = min(2 * work, full)
+    # enough stored coefficients for the block determinant to reach its
+    # leading exponent even across worst-case pole cancellations
+    cap = (k_dim + 1) * det_ord + full + 4
     while True:
-        adj_w, det_w = _poly.mat_adjugate_det(lift, mod_order=work)
-        if det_ord is None:
-            det_ord = _poly.low_order(det_w)
-            if det_ord is None:
-                if work >= full:
-                    raise SingularToKnownOrder(
-                        "determinant is the zero polynomial; the base point "
-                        "is not isolated"
-                    )
-                work = min(work * 2, full)
-                det_ord = None
-                continue
-            # enough stored coefficients for the block determinant to reach
-            # its leading exponent even across worst-case pole cancellations
-            cap = (k_dim + 1) * det_ord + full + 4
         slack = work - 1 - det_ord
         if slack >= 1:
-            compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj_w), b_cols)
             # the inverse of the unit part of det, scaled to integers by s_u
-            u_inv = jet_inverse(Jet.from_polynomial(det_w[det_ord:], slack))
+            u_inv = jet_inverse(Jet.from_polynomial(det[det_ord:work], slack))
             s_u = math.lcm(*[c.denominator for c in u_inv.coeffs])
             v = Jet(tuple([c.numerator * (s_u // c.denominator) for c in u_inv.coeffs]))
             grid = []
             for i in range(k_dim):
                 row = []
                 for j in range(k_dim):
-                    w = Jet.from_polynomial(compressed[i][j], slack)
+                    # trimmed, so an entry zero through x^work stays rational
+                    w = Jet.from_polynomial(_poly._trim(compressed[i][j][:work]), slack)
                     row.append(LaurentJet(det_ord, w * v))
                 grid.append(tuple(row))
             d = LaurentMatrix(k_dim, tuple(grid)).det()

@@ -228,6 +228,43 @@ def test_unit_times_inverse_is_one(a):
     assert (a * jet_inverse(a)).coeffs == Jet.one(a.known_order).coeffs
 
 
+def _reference_inverse(coeffs):
+    """The series inverse by the Fraction recurrence c_k = -(1/a_0) sum a_j c_(k-j)."""
+    inv0 = 1 / F(coeffs[0])
+    out = [inv0]
+    for k in range(1, len(coeffs)):
+        s = sum((coeffs[j] * out[k - j] for j in range(1, k + 1)), F(0))
+        out.append(-inv0 * s)
+    return tuple(out)
+
+
+_wide_ints = st.integers(min_value=-(2**400), max_value=2**400)
+_coefficient_lists = st.one_of(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.lists(small_fracs, min_size=1, max_size=8),
+    st.lists(_wide_ints, min_size=1, max_size=40),
+    st.lists(
+        st.builds(F, _wide_ints, st.integers(1, 2**300)), min_size=1, max_size=40
+    ),
+)
+
+
+@settings(deadline=None)
+@given(_coefficient_lists.filter(lambda cs: cs[0] != 0))
+def test_inverse_matches_the_fraction_recurrence(cs):
+    a = Jet(tuple(cs))
+    inv = jet_inverse(a)
+    assert inv.coeffs == _reference_inverse(a.coeffs)
+    assert all(type(c) is F for c in inv.coeffs)
+    assert (a * inv).coeffs == Jet.one(a.known_order).coeffs
+
+
+@given(_coefficient_lists, st.sampled_from([0, F(0)]))
+def test_inverse_refuses_a_vanishing_constant_term(cs, zero):
+    with pytest.raises(NotAUnit):
+        jet_inverse(Jet((zero, *cs)))
+
+
 @given(jets_strategy(), jets_strategy())
 def test_order_additivity(a, b):
     oa, ob = vanishing_order(a), vanishing_order(b)

@@ -309,9 +309,53 @@ def test_laurent_route_examples():
     assert multiplicity_laurent(diag_curve([0, 1], [1])).value == 1
 
 
-def test_laurent_route_rejects_zero_determinant():
-    with pytest.raises(SingularToKnownOrder):
-        multiplicity_laurent(fixtures.zero_curve())
+def _adjugate_orders(monkeypatch):
+    """The ``mod_order`` of every ``_poly.mat_adjugate_det`` call from now on."""
+    orders, adjugate = [], _poly.mat_adjugate_det
+
+    def counted(m, mod_order):
+        orders.append(mod_order)
+        return adjugate(m, mod_order)
+
+    monkeypatch.setattr(_poly, "mat_adjugate_det", counted)
+    return orders
+
+
+def test_laurent_route_rejects_zero_determinant(monkeypatch):
+    c = fixtures.zero_curve()
+    orders = _adjugate_orders(monkeypatch)
+    with pytest.raises(
+        SingularToKnownOrder,
+        match="^determinant is the zero polynomial; the base point is not isolated$",
+    ):
+        multiplicity_laurent(c)
+    assert orders == [c.order_bound() + 1]
+
+
+@pytest.mark.parametrize(
+    "seed, n, value, witness",
+    [
+        # the first window is x^full and the block determinant needs the
+        # next one, x^14, past the order bound
+        (3, 2, 5, "-162*t^5 + O(t^11)"),
+        # the first window, x^12, is below x^full = x^13, the next past it
+        (
+            1,
+            4,
+            8,
+            "13125/4*t^8 + 13125/64*t^11 + 13125/1024*t^14 + 13125/16384*t^17"
+            " + O(t^18)",
+        ),
+    ],
+    ids=["n2-seed3", "n4-seed1"],
+)
+def test_laurent_route_makes_one_exact_adjugate(monkeypatch, seed, n, value, witness):
+    c, expected = curve_with_known_multiplicity(random.Random(seed), n)
+    orders = _adjugate_orders(monkeypatch)
+    report = multiplicity_laurent(c)
+    assert orders == [c.order_bound() + 1]
+    assert (report.value, str(report.witness)) == (value, witness)
+    assert value == expected
 
 
 
