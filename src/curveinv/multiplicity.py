@@ -458,9 +458,10 @@ def multiplicity_laurent(
         _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
     )
 
-    # one adjugate at ``full`` is exact (deg adj L < deg det L <= n * degree
-    # < full), and so is the compression A*adj*B; each window below only
-    # reads slices of the two, as a recomputation modulo x^work would give
+    # one adjugate at ``full`` is exact (deg adj L <= (n - 1) * degree and
+    # deg det L <= n * degree < full), and so is the compression A*adj*B;
+    # each window below only reads slices of the two, as a recomputation
+    # modulo x^work would give
     adj, det = _poly.mat_adjugate_det(lift, mod_order=full)
     det_ord = _poly.low_order(det)
     if det_ord is None:
