@@ -30,11 +30,9 @@ _EXPORTS = {
         "LaurentJet",
         "LaurentMatrix",
         "NotAUnit",
-        "OrdResult",
         "SingularToKnownOrder",
         "jet_det",
         "jet_inverse",
-        "vanishing_order",
     ),
     "multiplicity": (
         "AlgebraicOrderReport",

@@ -13,8 +13,9 @@ its positive multiple with coprime integer coefficients.  One
 fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
 determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
 complement of a leading block, over Z with one rational factor;
-``mat_adjugate_det`` gives the adjugate modulo a power of x.  All
-operations are exact, no floating point anywhere.
+``mat_adjugate_det`` gives the adjugate modulo a power of x of an integer
+matrix only, as its exact divisions hold over Z alone.  All operations are
+exact, no floating point anywhere.
 
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
@@ -35,9 +36,9 @@ its value at x = 2^w, and each output entry is one sum of big-integer
 products, whose w-bit signed digits are its coefficients.  The width
 ``w = bits A + bits B + bits(k*l) + 1`` (largest coefficients ``A`` and
 ``B``, inner dimension ``k``, shorter longest entry ``l``) keeps every
-output coefficient below 2^(w-1) in absolute value.  Its ring is that of
-``mat_adjugate_det``: integer operands give integer polynomials, a
-``Fraction`` anywhere gives ``Fraction``s, rescaled once.
+output coefficient below 2^(w-1) in absolute value.  Integer operands
+give integer polynomials; a ``Fraction`` anywhere gives ``Fraction``s,
+rescaled once.
 
 The elimination packs the same way, and then runs one Bareiss loop over Z
 on the integer matrix m(2^w).  Evaluation at 2^w is a ring homomorphism
@@ -466,10 +467,9 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     most ``k*l`` products, each below ``2^(bits A + bits B)``, so for
     ``w = bits A + bits B + bits(k*l) + 1`` it lies below 2^(w-1) in
     absolute value, and the packed product holds it as one signed w-bit
-    digit, read back from the low end with a borrow.  The ring is
-    ``mat_adjugate_det``'s: integer operands give integer polynomials; a
-    ``Fraction`` coefficient in either gives ``Fraction``s, rescaled once by
-    ``da*db``.
+    digit, read back from the low end with a borrow.  Integer operands
+    give integer polynomials; a ``Fraction`` coefficient in either gives
+    ``Fraction``s, rescaled once by ``da*db``.
     """
     k, m = len(b), len(b[0]) if b else 0
     integral = all(
@@ -628,27 +628,26 @@ def to_int_matrix(m: PolyMatrix):
 
 
 def mat_adjugate_det(m: PolyMatrix, mod_order: int):
-    """Adjugate and determinant modulo x^mod_order, via the
-    Faddeev-LeVerrier recursion.
+    """Adjugate and determinant of an integer polynomial matrix modulo
+    x^mod_order, via the Faddeev-LeVerrier recursion.
 
-    Returns ``(adj, det)`` with ``m @ adj == det * I``, in the ring of
-    ``m``: an integer matrix gives an integer adjugate and determinant;
-    any other, and the zero matrix, gives them over Q.  The recursion runs
-    on ``m`` scaled to integer coefficients: it only ever divides traces by
+    Returns ``(adj, det)`` over Z with ``m @ adj == det * I``; the empty
+    matrix gives ``([], (1,))``.  The recursion only ever divides traces by
     integers 1..n, and those divisions are exact over Z, so the whole pass
-    runs on plain ints (much faster than Fractions) and a rational result
-    is rescaled at the boundary.  Truncating every product modulo
-    x^mod_order is sound because truncation is a ring homomorphism and no
-    polynomial division occurs.
+    runs on plain ints.  A rational coefficient raises TypeError, as ``//``
+    would floor it silently: callers scale the matrix to integers first.
+    Truncating every product modulo x^mod_order is sound because truncation
+    is a ring homomorphism and no polynomial division occurs.
     """
+    if not all(type(c) is int for row in m for p in row for c in p):
+        raise TypeError("mat_adjugate_det needs integer coefficients")
     n = len(m)
     if n == 0:
-        return [], ONE
-    im, d = to_int_matrix(m)
+        return [], (1,)
     acc = [[(1,) if i == j else () for j in range(n)] for i in range(n)]  # M_1 = I
     c = (1,)
     for k in range(1, n + 1):
-        am = mat_mul(im, acc, mod_order)
+        am = mat_mul(m, acc, mod_order)
         tr = ()
         for i in range(n):
             tr = add(tr, am[i][i])
@@ -662,11 +661,4 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int):
             ]
     odd = n % 2 == 1
     adj = [[p if odd else neg(p) for p in row] for row in acc]
-    det = neg(c) if odd else c
-    coeffs = [x for row in m for p in row for x in p]
-    if coeffs and all(type(x) is int for x in coeffs):
-        return adj, det
-    return (
-        [[poly(Fraction(x, d ** (n - 1)) for x in p) for p in row] for row in adj],
-        poly(Fraction(x, d**n) for x in det),
-    )
+    return adj, neg(c) if odd else c

@@ -8,8 +8,9 @@ of a sign homomorphism, or the full table), ``theta`` (Gaussian lattice
 sums with tail bounds), ``weights`` (deck-class weight table) and
 ``orientable``.
 
-Exit codes: 0 success, 2 malformed documents or flags, 3 violated
-mathematical preconditions, 4 internal consistency failure (a bug).
+Exit codes: 0 success, 2 malformed documents or flags or a ``--json``
+path that cannot be written, 3 violated mathematical preconditions, 4
+internal consistency failure (a bug).
 Human-readable output goes to stdout; ``--json PATH`` additionally writes
 a canonical machine-readable report, byte-identical for identical inputs.
 Exact values are printed in full, however many digits they have.
@@ -534,8 +535,13 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
     if payload is not None and getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(documents.dumps(payload))
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(documents.dumps(payload))
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.json}: {reason}", file=sys.stderr)
+            return EXIT_PARSE
     return code
 
 

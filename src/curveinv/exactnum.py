@@ -1,12 +1,14 @@
 """Truncated power series (jets) and Laurent jets over Z and Q.
 
-This is the arithmetic bedrock of the package: every order-of-vanishing
-computation runs here, in exact arithmetic.  A jet stores the coefficients
-it actually knows (indices 0..known_order); every operation propagates the
-known order pessimistically, so a coefficient is never reported unless it
-is genuinely determined by the inputs.  A matrix of jets is a ``_poly``
-polynomial matrix read through an order passed beside it, as ``jet_det``
-takes it.
+The jet ring in which the multiplicity routes read their determinants,
+in exact arithmetic.  A jet stores the coefficients it actually knows
+(indices 0..known_order); every operation propagates the known order
+pessimistically, so a coefficient is never reported unless it is genuinely
+determined by the inputs.  An order of vanishing is ``_poly.low_order`` of
+the stored coefficients: an ``int``, or None when all of them vanish.  A
+matrix of jets is a ``_poly`` polynomial matrix read through an order
+passed beside it, as ``jet_det`` takes it; the Laurent route's block is a
+``LaurentMatrix``, whose determinant is a ``LaurentJet``.
 
 Coefficients follow ``_poly``'s rule: a jet keeps the ring of its
 coefficients.  The constructor keeps an all-``int`` tuple as it is and
@@ -43,35 +45,6 @@ class InsufficientJetOrder(PreconditionError):
     """The stored coefficients do not determine the requested quantity."""
 
 
-@dataclass(frozen=True)
-class OrdResult:
-    """Order of vanishing: either Finite(k) or Undetermined(>= at_least).
-
-    Undetermined is a value, not an error; it distinguishes "the jet was
-    too short to decide" from an actual order.
-    """
-
-    value: int | None
-    at_least: int
-
-    @classmethod
-    def finite(cls, k: int) -> "OrdResult":
-        return cls(value=k, at_least=k)
-
-    @classmethod
-    def undetermined(cls, at_least: int) -> "OrdResult":
-        return cls(value=None, at_least=at_least)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __str__(self) -> str:
-        if self.is_finite:
-            return f"Finite({self.value})"
-        return f"Undetermined(>={self.at_least})"
-
-
 def _zero_like(p):
     """The zero of the ring of the coefficients ``p`` (a polynomial or a
     jet's tuple), read off the last one; the zero polynomial ``()`` is read
@@ -85,7 +58,7 @@ class Jet:
 
     ``coeffs[i]`` is the coefficient of the i-th power; ``known_order`` is
     ``len(coeffs) - 1``.  Two jets are comparable only through the minimum
-    of their known orders, which is what :meth:`agrees_with` checks.
+    of their known orders: the prefixes of that length.
     """
 
     coeffs: tuple
@@ -103,35 +76,14 @@ class Jet:
         return len(self.coeffs) - 1
 
     @classmethod
-    def constant(cls, value, order: int) -> "Jet":
-        c = [Fraction(value)] + [Fraction(0)] * order
-        return cls(tuple(c))
-
-    @classmethod
-    def zero(cls, order: int) -> "Jet":
-        return cls.constant(0, order)
-
-    @classmethod
     def one(cls, order: int) -> "Jet":
-        return cls.constant(1, order)
-
-    @classmethod
-    def variable(cls, order: int) -> "Jet":
-        if order < 1:
-            raise ValueError("the variable needs order >= 1")
-        c = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
-        return cls(tuple(c))
+        return cls((Fraction(1),) + (Fraction(0),) * order)
 
     @classmethod
     def from_polynomial(cls, p, order: int) -> "Jet":
         """The jet of the polynomial ``p`` through ``order``, in p's ring."""
         c = list(p[: order + 1]) + [_zero_like(p)] * (order + 1 - len(p))
         return cls(tuple(c))
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.known_order:
-            return self
-        return Jet(self.coeffs[: order + 1])
 
     def __add__(self, other: "Jet") -> "Jet":
         k = min(self.known_order, other.known_order)
@@ -140,18 +92,11 @@ class Jet:
     def __neg__(self) -> "Jet":
         return Jet(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + (-other)
-
     def __mul__(self, other: "Jet") -> "Jet":
         k = min(self.known_order, other.known_order)
         prod = _poly.mul(self.coeffs, other.coeffs, k + 1)
         # a zero product keeps the operands' ring
         return Jet.from_polynomial(prod or (_zero_like(self.coeffs),), k)
-
-    def agrees_with(self, other: "Jet") -> bool:
-        k = min(self.known_order, other.known_order)
-        return self.coeffs[: k + 1] == other.coeffs[: k + 1]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -188,14 +133,6 @@ def jet_inverse(a: Jet) -> Jet:
         out.append(Fraction(d * bk, den))
         den *= a0
     return Jet(tuple(out))
-
-
-def vanishing_order(a: Jet) -> OrdResult:
-    """Index of the first nonzero coefficient, if it is stored at all."""
-    for i, c in enumerate(a.coeffs):
-        if c != 0:
-            return OrdResult.finite(i)
-    return OrdResult.undetermined(a.known_order + 1)
 
 
 def jet_det(m: _poly.PolyMatrix, order: int) -> Jet:
@@ -239,21 +176,11 @@ class LaurentJet:
         """Highest exponent whose coefficient is determined."""
         return -self.pole_order + self.unit_part.known_order
 
-    def leading_exponent(self) -> OrdResult:
-        o = vanishing_order(self.unit_part)
-        if o.is_finite:
-            return OrdResult.finite(o.value - self.pole_order)
-        return OrdResult.undetermined(o.at_least - self.pole_order)
-
-    def coefficient(self, exponent: int) -> Fraction:
-        idx = exponent + self.pole_order
-        if idx < 0:
-            return Fraction(0)
-        if idx > self.unit_part.known_order:
-            raise InsufficientJetOrder(
-                f"coefficient of exponent {exponent} is beyond the known window"
-            )
-        return self.unit_part.coeffs[idx]
+    def leading_exponent(self) -> int | None:
+        """Exponent of the first nonzero stored coefficient, or None when
+        every stored coefficient vanishes."""
+        o = _poly.low_order(self.unit_part.coeffs)
+        return None if o is None else o - self.pole_order
 
     def is_zero(self) -> bool:
         return self.unit_part.is_zero()
@@ -267,21 +194,17 @@ class LaurentJet:
     def __neg__(self) -> "LaurentJet":
         return LaurentJet(self.pole_order, -self.unit_part)
 
-    def __sub__(self, other: "LaurentJet") -> "LaurentJet":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentJet") -> "LaurentJet":
         return LaurentJet(
             self.pole_order + other.pole_order, self.unit_part * other.unit_part
         )
 
     def inverse(self) -> "LaurentJet":
-        lead = self.leading_exponent()
-        if not lead.is_finite:
+        e = self.leading_exponent()
+        if e is None:
             raise NotAUnit(
                 "every stored coefficient vanishes; no leading term to invert"
             )
-        e = lead.value
         shift = e + self.pole_order  # index of the leading coeff in the unit part
         v = Jet(self.unit_part.coeffs[shift:])
         v_inv = jet_inverse(v)

@@ -34,7 +34,6 @@ from .exactnum import (
     SingularToKnownOrder,
     jet_det,
     jet_inverse,
-    vanishing_order,
 )
 
 
@@ -327,9 +326,9 @@ def multiplicity_det(
 
 def _order_report(d: Jet, method: str, capped: bool) -> MultiplicityReport:
     """Report the order of a determinant jet known through the bound."""
-    o = vanishing_order(d)
-    if o.is_finite:
-        return MultiplicityReport.finite(o.value, method, witness=d)
+    o = _poly.low_order(d.coeffs)
+    if o is not None:
+        return MultiplicityReport.finite(o, method, witness=d)
     if capped:
         return MultiplicityReport.undetermined(d.known_order, method, witness=d)
     return MultiplicityReport.infinite(method, witness=d)
@@ -429,6 +428,22 @@ def multiplicity_schur(
 # Route 3: Laurent inverse compression
 
 
+def _exact_adjugate(curve: MatrixCurveJet):
+    """``(adj, det, det_ord, s)``: the adjugate and determinant of the
+    curve's lift scaled to integers by ``s``, exact at ``order_bound() + 1``
+    (both have degree at most n * degree), and the order of ``det``, which
+    the scale does not move.  Raises SingularToKnownOrder when det L is the
+    zero polynomial."""
+    lift, s = _poly.to_int_matrix(curve.polynomial_lift())
+    adj, det = _poly.mat_adjugate_det(lift, mod_order=curve.order_bound() + 1)
+    det_ord = _poly.low_order(det)
+    if det_ord is None:
+        raise SingularToKnownOrder(
+            "determinant is the zero polynomial; the base point is not isolated"
+        )
+    return adj, det, det_ord, s
+
+
 def multiplicity_laurent(
     curve: MatrixCurveJet, pair: ProjectionPair | None = None
 ) -> MultiplicityReport:
@@ -449,25 +464,16 @@ def multiplicity_laurent(
 
     # the block runs over Z: the lift, the kernel coordinates of P (left)
     # and the range complement (right) are each scaled to integer constant
-    # polynomials, and the determinant is rescaled once at the end
-    lift, s_lift = _poly.to_int_matrix(curve.polynomial_lift())
+    # polynomials, and the determinant is rescaled once at the end.  Each
+    # window below only reads slices of the exact adjugate and of the
+    # compression A*adj*B, as a recomputation modulo x^work would give
+    adj, det, det_ord, s_lift = _exact_adjugate(curve)
     a_rows, s_a = _poly.to_int_matrix(
         _poly.mat_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
     )
     b_cols, s_b = _poly.to_int_matrix(
         _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
     )
-
-    # one adjugate at ``full`` is exact (deg adj L <= (n - 1) * degree and
-    # deg det L <= n * degree < full), and so is the compression A*adj*B;
-    # each window below only reads slices of the two, as a recomputation
-    # modulo x^work would give
-    adj, det = _poly.mat_adjugate_det(lift, mod_order=full)
-    det_ord = _poly.low_order(det)
-    if det_ord is None:
-        raise SingularToKnownOrder(
-            "determinant is the zero polynomial; the base point is not isolated"
-        )
     compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj), b_cols)
     work = min(max(2 * curve.degree + 6, 8), full)
     while det_ord >= work:
@@ -492,7 +498,7 @@ def multiplicity_laurent(
                 grid.append(tuple(row))
             d = LaurentMatrix(k_dim, tuple(grid)).det()
             lead = d.leading_exponent()
-            if lead.is_finite:
+            if lead is not None:
                 # each entry is the rational block's divided by
                 # c = s_lift / (s_a * s_b * s_u), and every k x k minor is
                 # homogeneous of degree k: one rescale by c^k, which moves
@@ -502,9 +508,7 @@ def multiplicity_laurent(
                     d.pole_order, Jet(tuple([scale * c for c in d.unit_part.coeffs]))
                 )
                 witness = d.inverse()  # determinant of the inverse block
-                return MultiplicityReport.finite(
-                    -lead.value, "laurent", witness=witness
-                )
+                return MultiplicityReport.finite(-lead, "laurent", witness=witness)
         if work >= cap:
             raise InsufficientJetOrder(
                 "compressed determinant vanished through every admissible window"
@@ -629,14 +633,7 @@ def algebraic_order(curve: MatrixCurveJet) -> AlgebraicOrderReport:
     Equals the determinant order minus the minimal order among the
     adjugate entries.  A regular base point reports kappa None.
     """
-    adj, det_poly = _poly.mat_adjugate_det(
-        curve.polynomial_lift(), mod_order=curve.order_bound() + 1
-    )
-    det_ord = _poly.low_order(det_poly)
-    if det_ord is None:
-        raise SingularToKnownOrder(
-            "determinant is the zero polynomial; the base point is not isolated"
-        )
+    adj, _, det_ord, _ = _exact_adjugate(curve)
     if det_ord == 0:
         return AlgebraicOrderReport(kappa=None, determinant_order=0)
     # the minimal adjugate order is at most det_ord, which is below the

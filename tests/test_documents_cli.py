@@ -113,6 +113,16 @@ def test_chi_all_routes_np_curve(capsys, tmp_path):
         assert payload["reports"][name]["value"] == 1
 
 
+def test_unwritable_json_path_exits_2_with_one_line(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["theta", "--json", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chi_nilpotent_shift(capsys):
     code = main(["chi", "--curve", fx("nilpotent_shift.json"), "--method", "ord-det"])
     assert code == 0

@@ -15,7 +15,6 @@ from curveinv.exactnum import (
     NotAUnit,
     jet_det,
     jet_inverse,
-    vanishing_order,
 )
 from curveinv.multiplicity import MatrixCurveJet
 
@@ -25,6 +24,12 @@ T, ONE, ZERO = (0, 1), (1,), ()
 
 def jet(*coeffs):
     return Jet(tuple(F(c) for c in coeffs))
+
+
+def agree(a, b):
+    """Whether two jets agree through the lower of their known orders."""
+    k = min(a.known_order, b.known_order) + 1
+    return a.coeffs[:k] == b.coeffs[:k]
 
 
 def pmat(*rows):
@@ -42,7 +47,7 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_variable_square():
-    t = Jet.variable(2)
+    t = jet(0, 1, 0)
     assert (t * t).coeffs == (F(0), F(0), F(1))
 
 
@@ -92,7 +97,7 @@ def test_inverse_of_an_integer_jet_is_exact():
 
 def test_jets_keep_their_coefficient_ring():
     a, b = Jet((1, 2, 0)), Jet((3, -1, 5))
-    for j in (a * b, a + b, -a, a - b, LaurentJet(2, Jet((0, 0, 4))).unit_part):
+    for j in (a * b, a + b, -a, a + (-b), LaurentJet(2, Jet((0, 0, 4))).unit_part):
         assert all(type(c) is int for c in j.coeffs)
     assert (a * Jet((0, 0, 0))).coeffs == (0, 0, 0)
     assert all(type(c) is int for c in (a * Jet((0, 0, 0))).coeffs)
@@ -109,18 +114,15 @@ def test_jets_keep_their_coefficient_ring():
 
 
 def test_order_of_square():
-    r = vanishing_order(jet(0, 0, 1, 0, 0))
-    assert r.is_finite and r.value == 2
+    assert _poly.low_order(jet(0, 0, 1, 0, 0).coeffs) == 2
 
 
 def test_order_of_zero_jet_is_undetermined():
-    r = vanishing_order(Jet.zero(3))
-    assert not r.is_finite and r.at_least == 4
+    assert _poly.low_order(jet(0, 0, 0, 0).coeffs) is None
 
 
 def test_order_of_constant():
-    r = vanishing_order(jet(3, 0))
-    assert r.is_finite and r.value == 0
+    assert _poly.low_order(jet(3, 0).coeffs) == 0
 
 
 # -- jet determinants ----------------------------------------------------------
@@ -180,15 +182,14 @@ def test_laurent_inverse_roundtrip():
     x = LaurentJet(1, jet(2, 1, 0, 0))
     y = x.inverse()
     prod = x * y
-    lead = prod.leading_exponent()
-    assert lead.is_finite and lead.value == 0
-    assert prod.coefficient(0) == 1
-    assert prod.coefficient(1) == 0
+    assert prod.leading_exponent() == 0
+    assert prod.unit_part.coeffs[prod.pole_order] == 1
+    assert prod.unit_part.coeffs[prod.pole_order + 1] == 0
 
 
 def test_laurent_inverse_of_zero_raises():
     with pytest.raises(NotAUnit):
-        LaurentJet(0, Jet.zero(2)).inverse()
+        LaurentJet(0, jet(0, 0, 0)).inverse()
 
 
 # -- algebra laws (property tests) -----------------------------------------------
@@ -212,15 +213,15 @@ def test_mul_commutative(a, b):
 
 @given(jets_strategy(), jets_strategy(), jets_strategy())
 def test_mul_associative(a, b, c):
-    assert ((a * b) * c).agrees_with(a * (b * c))
+    assert agree((a * b) * c, a * (b * c))
 
 
 @given(jets_strategy(), jets_strategy(), jets_strategy())
 def test_mul_distributes(a, b, c):
     k = min(x.known_order for x in (a, b, c))
-    lhs = a * (b.truncate(k) + c.truncate(k))
+    lhs = a * (Jet(b.coeffs[: k + 1]) + Jet(c.coeffs[: k + 1]))
     rhs = (a * b) + (a * c)
-    assert lhs.agrees_with(rhs)
+    assert agree(lhs, rhs)
 
 
 @given(jets_strategy().filter(lambda j: j.coeffs[0] != 0))
@@ -267,12 +268,11 @@ def test_inverse_refuses_a_vanishing_constant_term(cs, zero):
 
 @given(jets_strategy(), jets_strategy())
 def test_order_additivity(a, b):
-    oa, ob = vanishing_order(a), vanishing_order(b)
-    prod_order = vanishing_order(a * b)
-    if oa.is_finite and ob.is_finite:
-        total = oa.value + ob.value
+    oa, ob = _poly.low_order(a.coeffs), _poly.low_order(b.coeffs)
+    if oa is not None and ob is not None:
+        total = oa + ob
         if total <= (a * b).known_order:
-            assert prod_order.is_finite and prod_order.value == total
+            assert _poly.low_order((a * b).coeffs) == total
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def test_det_multiplicative(order, data):
     a = draw_matrix()
     b = draw_matrix()
     product = _poly.mat_mul(a, b, order + 1)
-    assert jet_det(product, order).agrees_with(jet_det(a, order) * jet_det(b, order))
+    assert agree(jet_det(product, order), jet_det(a, order) * jet_det(b, order))
 
 
 @pytest.mark.parametrize(
@@ -581,16 +581,14 @@ def test_adjugate_keeps_the_ring_of_its_matrix(n, mod_order, data):
     m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
     adj, det = _poly.mat_adjugate_det(m, mod_order)
     entries = [*det, *(c for row in adj for p in row for c in p)]
-    # the zero matrix, like the zero polynomial, is read over Q
-    ring = int if any(p for row in m for p in row) else F
-    assert all(type(c) is ring for c in entries)
+    # the zero matrix too stays over Z
+    assert all(type(c) is int for c in entries)
     for i, row in enumerate(_poly.mat_mul(m, adj, mod_order)):
         for j, p in enumerate(row):
             want = det if i == j else ()
             assert p[:mod_order] == want[:mod_order]
-    # the same matrix over Q gives the same values as Fractions
-    q_m = [[_poly.poly(p) for p in row] for row in m]
-    q_adj, q_det = _poly.mat_adjugate_det(q_m, mod_order)
-    assert q_det == _poly.poly(det) and all(type(c) is F for c in q_det)
-    assert q_adj == [[_poly.poly(p) for p in row] for row in adj]
-    assert all(type(c) is F for row in q_adj for p in row for c in p)
+    # the exact divisions hold over Z only: one Fraction is refused, not floored
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    m[i][j] = (*m[i][j], F(1, 2))
+    with pytest.raises(TypeError):
+        _poly.mat_adjugate_det(m, mod_order)
