@@ -1,11 +1,11 @@
 """Exact linear algebra on constant rational matrices (internal).
 
 Matrices are tuples of row tuples of ``Fraction``, vectors tuples of
-``Fraction``.  The module is construction, the product (``_poly.mat_mul``,
-the one matrix product, on constant polynomials) and one fraction-free
-elimination over Z, ``_echelon``: ``rref`` (and through it rank, kernels
-and inverses) and ``det`` only read its integer rows, and only their
-outputs are rational.  Row reduction always picks the leftmost pivot.
+``Fraction``.  The module is construction, the product (``_poly.mat_mul``
+on the operands scaled to integers) and one fraction-free elimination
+over Z, ``_echelon``: ``rref`` (and through it rank, kernels and
+inverses) and ``det`` only read its integer rows.  Both run over Z, and
+only their outputs are rational.  Row reduction picks the leftmost pivot.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ def shape(m: Matrix):
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product: ``_poly.mat_mul`` on constant polynomials."""
-    prod = _poly.mat_mul(
-        [[(x,) for x in row] for row in a], [[(x,) for x in row] for row in b]
-    )
-    return tuple(tuple(Fraction(p[0]) if p else Fraction(0) for p in row) for row in prod)
+    """Matrix product: ``_poly.mat_mul`` of the operands scaled to integer
+    constant polynomials, each entry one ``Fraction`` over the two scales."""
+    (ia, da), (ib, db) = [_poly.to_int_matrix([[(x,) for x in r] for r in m]) for m in (a, b)]
+    prod, s = _poly.mat_mul(ia, ib), da * db
+    return tuple(tuple(Fraction(p[0], s) if p else Fraction(0) for p in row) for row in prod)
 
 
 def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:

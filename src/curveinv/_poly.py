@@ -4,24 +4,24 @@ Internal plumbing shared by the jet ring, the multiplicity routes and the
 root isolation code.  A polynomial is a tuple of coefficients indexed by
 power, each an ``int`` or a ``Fraction``, with trailing zeros stripped; the
 zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
-``neg``, ``mul``, ``derivative``, ``mat_mul``) serve both coefficient
-rings and never coerce, so integer inputs give integer results; ``poly`` is
-the coercing constructor for inputs.  The Euclidean kernels (``gcd``,
-``div_exact``, ``squarefree_decomposition``, ``sturm_chain``) run over Z on
-primitive polynomials: a rational polynomial enters through ``primitive``,
-its positive multiple with coprime integer coefficients.  One
-fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
+``neg``, ``mul``, ``derivative``) serve both coefficient rings and never
+coerce, so integer inputs give integer results; ``poly`` is the coercing
+constructor for inputs.  The Euclidean kernels (``gcd``, ``div_exact``,
+``squarefree_decomposition``, ``sturm_chain``) run over Z on primitive
+polynomials: a rational polynomial enters through ``primitive``, its
+positive multiple with coprime integer coefficients.  The matrix kernels
+run over Z only; a rational matrix enters once, through ``to_int_matrix``.
+One fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
 determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
-complement of a leading block, over Z with one rational factor;
-``mat_adjugate_det`` gives the adjugate modulo a power of x of an integer
-matrix only, as its exact divisions hold over Z alone.  All operations are
-exact, no floating point anywhere.
+complement of a leading block, with one rational factor; the adjugate of
+``mat_adjugate_det`` is modulo a power of x, as its exact divisions hold
+over Z alone.  All operations are exact, no floating point anywhere.
 
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
 evaluation: ``eval_at`` is its ``Fraction`` reading, divided by d^deg
-once, ``mat_eval_at`` reads each entry of a matrix scaled to integers
-once the same way, and a Sturm sign is its sign, never divided, as d > 0.
+once, ``mat_eval_at`` reads each entry of a scaled pair ``(m*d, d)`` the
+same way, and a Sturm sign is its sign, never divided, as d > 0.
 The bisection of ``count_roots_open`` and ``isolate_roots`` keeps each
 point as an integer N over q 2^e, with q the lcm of the endpoints'
 denominators, and halves an interval by adding numerators; only a
@@ -29,16 +29,16 @@ reported root or bracket becomes a ``Fraction``.  The Sturm chain
 separates the roots; once an interval holds one, the sign of p alone
 refines it, as a simple root is the only place there where p changes sign.
 
-Every matrix product, polynomial or rational (``_linalg.matmul`` is its
-degree-0 case), is the one ``mat_mul``, by Kronecker substitution: the
-operands are scaled to integers, each entry is packed into one integer,
-its value at x = 2^w, and each output entry is one sum of big-integer
-products, whose w-bit signed digits are its coefficients.  The width
+Every matrix product, polynomial or constant (``_linalg.matmul`` is its
+degree-0 case), is the one ``mat_mul`` of integer operands, by Kronecker
+substitution: each entry is packed into one integer, its value at
+x = 2^w, and each output entry is one sum of big-integer products, whose
+w-bit signed digits are its coefficients.  The width
 ``w = bits A + bits B + bits(k*l) + 1`` (largest coefficients ``A`` and
 ``B``, inner dimension ``k``, shorter longest entry ``l``) keeps every
-output coefficient below 2^(w-1) in absolute value.  Integer operands
-give integer polynomials; a ``Fraction`` anywhere gives ``Fraction``s,
-rescaled once.
+output coefficient below 2^(w-1) in absolute value.  A caller with
+rational operands scales each with ``to_int_matrix`` and divides the
+product by the two scales once.
 
 The elimination packs the same way, and then runs one Bareiss loop over Z
 on the integer matrix m(2^w).  Evaluation at 2^w is a ring homomorphism
@@ -423,11 +423,11 @@ def mat_lift(coeffs) -> PolyMatrix:
     ]
 
 
-def mat_eval_at(m: PolyMatrix, x) -> tuple:
-    """m(x) at x = n/d, in ``Fraction``s: m scaled to integers once (scale
-    s), entry p reads ``eval_numerator(p, n, d)`` over s*d^deg p."""
+def mat_eval_at(scaled, x) -> tuple:
+    """m(x) at x = n/d, in ``Fraction``s, for ``scaled = (m*s, s)``: entry p
+    of the integer m*s reads ``eval_numerator(p, n, d)`` over s*d^deg p."""
     n, d = Fraction(x).as_integer_ratio()
-    im, s = to_int_matrix(m)
+    im, s = scaled
     return tuple(
         tuple([Fraction(eval_numerator(p, n, d), s * d ** max(len(p) - 1, 0)) for p in row])
         for row in im
@@ -455,42 +455,32 @@ def compose_affine(coeffs, c, s) -> tuple:
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
-    """Matrix product by Kronecker substitution; with ``cap``, every entry
-    keeps only its coefficients below x^cap.
+    """Product of two integer polynomial matrices by Kronecker substitution;
+    with ``cap``, every entry keeps only its coefficients below x^cap.
 
-    Rational operands are scaled to integer coefficients once (by ``da``
-    and ``db``), and each entry is packed into one integer, its value at
-    x = 2^w.  Every output entry is then one sum of ``k`` big-integer
-    products, for ``k`` the inner dimension.  Let ``A`` and ``B`` be the
-    largest |coefficient| of the scaled operands and ``l`` the shorter of
-    their longest entries.  A coefficient of an output entry is a sum of at
-    most ``k*l`` products, each below ``2^(bits A + bits B)``, so for
+    Each entry is packed into one integer, its value at x = 2^w, and every
+    output entry is one sum of ``k`` big-integer products, for ``k`` the
+    inner dimension.  Let ``A`` and ``B`` be the largest |coefficient| of
+    the operands and ``l`` the shorter of their longest entries.  A
+    coefficient of an output entry is a sum of at most ``k*l`` products,
+    each below ``2^(bits A + bits B)``, so for
     ``w = bits A + bits B + bits(k*l) + 1`` it lies below 2^(w-1) in
     absolute value, and the packed product holds it as one signed w-bit
-    digit, read back from the low end with a borrow.  Integer operands
-    give integer polynomials; a ``Fraction`` coefficient in either gives
-    ``Fraction``s, rescaled once by ``da*db``.
+    digit, read back from the low end with a borrow.  Callers scale
+    rational operands with ``to_int_matrix``: a ``Fraction`` coefficient
+    raises here rather than give a floored product.
     """
     k, m = len(b), len(b[0]) if b else 0
-    integral = all(
-        type(c) is int for mat in (a, b) for row in mat for p in row for c in p
-    )
-    ia, da = (a, 1) if integral else to_int_matrix(a)
-    ib, db = (b, 1) if integral else to_int_matrix(b)
-    la = max((len(p) for row in ia for p in row), default=0)
-    lb = max((len(p) for row in ib for p in row), default=0)
-    w = _max_bits(ia) + _max_bits(ib) + (k * min(la, lb)).bit_length() + 1
+    la = max((len(p) for row in a for p in row), default=0)
+    lb = max((len(p) for row in b for p in row), default=0)
+    w = _max_bits(a) + _max_bits(b) + (k * min(la, lb)).bit_length() + 1
     top = la + lb - 1 if cap is None else min(cap, la + lb - 1)
-    pa = [[_pack(p, w) for p in row] for row in ia]
-    pb = [[_pack(ib[t][j], w) for t in range(k)] for j in range(m)]
-    out = [
+    pa = [[_pack(p, w) for p in row] for row in a]
+    pb = [[_pack(b[t][j], w) for t in range(k)] for j in range(m)]
+    return [
         [_unpack(sum([x * y for x, y in zip(ra, cb)]), w, top) for cb in pb]
         for ra in pa
     ]
-    if integral:
-        return out
-    scale = da * db
-    return [[tuple([Fraction(c, scale) for c in p]) for p in row] for row in out]
 
 
 def _max_bits(m: PolyMatrix) -> int:
@@ -520,23 +510,23 @@ def _unpack(v: int, w: int, top: int) -> Poly:
     return _trim(out)
 
 
-def mat_eliminate(m: PolyMatrix, steps: int):
+def mat_eliminate(scaled, steps: int):
     """``(det B, S, f)`` by fraction-free Bareiss elimination over Z, on the
-    integer matrix m(2^w).
+    integer matrix (m*d)(2^w), for ``scaled = (m*d, d)`` as
+    ``to_int_matrix`` returns it (any d that makes m*d integral will do).
 
     ``B`` is the leading ``steps`` x ``steps`` block of m, and
     ``S~ = det(B) * (D - C * B^-1 * C')`` is its Schur complement scaled by
     ``det B``, over the trailing block ``D``; ``S~ = f*S`` with ``S``
     primitive over Z, which keeps the integers of a further elimination
-    small.  Denominators are cleared first (scale ``d``), and each entry is
-    packed into one integer, its value at x = 2^w.  The loop clears the
-    first ``steps`` columns with pivots (and row swaps) from the first
-    ``steps`` rows only.  By Sylvester's identity every value it forms is
-    a minor whose rows are some of the first ``steps`` rows plus one more,
-    and every trailing entry ends as the bordered minor of ``B``, which is
-    ``S~`` up to the swap sign and the scale: ``det B`` is rescaled by
-    ``sign/d^steps``, and ``f = sign*g/d^(steps+1)`` for the content ``g``
-    of the trailing block.
+    small.  Each entry of m*d is packed into one integer, its value at
+    x = 2^w.  The loop clears the first ``steps`` columns with pivots (and
+    row swaps) from the first ``steps`` rows only.  By Sylvester's identity
+    every value it forms is a minor whose rows are some of the first
+    ``steps`` rows plus one more, and every trailing entry ends as the
+    bordered minor of ``B``, which is ``S~`` up to the swap sign and the
+    scale: ``det B`` is rescaled by ``sign/d^steps``, and
+    ``f = sign*g/d^(steps+1)`` for the content ``g`` of the trailing block.
 
     Evaluation at 2^w is a ring homomorphism Z[x] -> Z, so each value is
     its polynomial minor's value.  The sum of |coefficients| of such a
@@ -556,8 +546,8 @@ def mat_eliminate(m: PolyMatrix, steps: int):
     singular ``B`` gives ``(ZERO, None, None)``: this elimination does not
     determine ``S~`` then.
     """
-    n = len(m)
-    im, d = to_int_matrix(m)
+    im, d = scaled
+    n = len(im)
     norms = [max(sum([abs(c) for p in row for c in p]), 1) for row in im]
     w = (math.prod(norms[:steps]) * max(norms[steps:], default=1)).bit_length() + 1
     deg = max([len(p) for row in im for p in row] + [1]) - 1
@@ -611,15 +601,15 @@ def _inverse_mod_2k(u: int, k: int) -> int:
     return x
 
 
-def mat_det_bareiss(m: PolyMatrix) -> Poly:
-    """Determinant by fraction-free Bareiss elimination: ``mat_eliminate``
-    through every column."""
-    return mat_eliminate(m, len(m))[0]
+def mat_det_bareiss(scaled) -> Poly:
+    """Determinant of m, over Q, from ``scaled = (m*d, d)`` by fraction-free
+    Bareiss elimination: ``mat_eliminate`` through every column."""
+    return mat_eliminate(scaled, len(scaled[0]))[0]
 
 
 def to_int_matrix(m: PolyMatrix):
-    """``(m * d, d)``: m scaled to integer coefficients by d, the least
-    common denominator of its coefficients (1 for an integer m)."""
+    """``(m * d, d)``, the one way into the matrix kernels: m scaled to
+    integers by d, the lcm of its coefficients' denominators (1 for int m)."""
     d = math.lcm(*[c.denominator for row in m for p in row for c in p])
     return [
         [tuple([c.numerator * (d // c.denominator) for c in p]) for p in row]

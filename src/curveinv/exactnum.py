@@ -138,13 +138,13 @@ def jet_inverse(a: Jet) -> Jet:
 def jet_det(m: _poly.PolyMatrix, order: int) -> Jet:
     """Determinant of a polynomial matrix in the jet ring of ``order``.
 
-    The exact determinant of ``m``, by fraction-free Bareiss elimination
-    over Z[x], truncated to ``order``.  Truncation is a ring homomorphism,
-    so this is the determinant of the matrix of jets at every dimension
-    (pivoting on the jets themselves would be unsound: the jet ring has
-    zero divisors).  The empty matrix gives the one-jet.
+    The exact determinant of ``m``, scaled to Z once, by fraction-free
+    Bareiss elimination over Z[x], truncated to ``order``.  Truncation is
+    a ring homomorphism, so this is the determinant of the matrix of jets
+    at every dimension (pivoting on the jets themselves would be unsound:
+    the jet ring has zero divisors).  The empty matrix gives the one-jet.
     """
-    return Jet.from_polynomial(_poly.mat_det_bareiss(m), order)
+    return Jet.from_polynomial(_poly.mat_det_bareiss(_poly.to_int_matrix(m)), order)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,8 @@ class MatrixCurveJet:
         return self.coefficients[0]
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        return _poly.mat_eval_at(self.polynomial_lift(), Fraction(lam) - self.base_point)
+        lift = _poly.to_int_matrix(self.polynomial_lift())
+        return _poly.mat_eval_at(lift, Fraction(lam) - self.base_point)
 
     def polynomial_lift(self):
         return _poly.mat_lift(self.coefficients)
@@ -95,7 +96,9 @@ def pointwise_product(a: MatrixCurveJet, b: MatrixCurveJet) -> MatrixCurveJet:
     (vanishing top coefficients are kept as zero matrices)."""
     if a.dim != b.dim or a.base_point != b.base_point:
         raise ValueError("curves must share dimension and base point")
-    product = _poly.mat_mul(a.polynomial_lift(), b.polynomial_lift())
+    (ia, da), (ib, db) = [_poly.to_int_matrix(c.polynomial_lift()) for c in (a, b)]
+    s = da * db
+    product = [[[Fraction(c, s) for c in p] for p in row] for row in _poly.mat_mul(ia, ib)]
     out = _poly.mat_coefficients(product)
     pad = (_linalg.zeros(a.dim, a.dim),) * (a.degree + b.degree + 1 - len(out))
     return MatrixCurveJet(a.dim, a.base_point, out + pad)
@@ -353,13 +356,15 @@ def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
     The blocks are those of the curve in the pair's frame, where ``L11`` is
     invertible at the base point; the Schur block is ``S = S~ / det L11``.
     All three come from one fraction-free elimination of the framed
-    curve's first ``n - k`` columns: ``s`` is over Z[x] and ``f`` rational.
+    curve's first ``n - k`` columns, built over Z from the two frames and
+    the lift, each scaled once: ``s`` is over Z[x] and ``f`` rational.
     """
     pair = _pair_for(curve, pair)
-    cod_inv = _poly.mat_lift([_linalg.inverse(pair.codomain_frame())])
-    dom = _poly.mat_lift([pair.domain_frame()])
-    framed = _poly.mat_mul(_poly.mat_mul(cod_inv, curve.polynomial_lift()), dom)
-    return _poly.mat_eliminate(framed, curve.dim - pair.kernel_dim)
+    frames = (_linalg.inverse(pair.codomain_frame()), pair.domain_frame())
+    (cod_inv, s_c), (dom, s_d) = [_poly.to_int_matrix(_poly.mat_lift([m])) for m in frames]
+    lift, s_l = _poly.to_int_matrix(curve.polynomial_lift())
+    framed = _poly.mat_mul(_poly.mat_mul(cod_inv, lift), dom)
+    return _poly.mat_eliminate((framed, s_c * s_l * s_d), curve.dim - pair.kernel_dim)
 
 
 def _schur_unit(curve: MatrixCurveJet, pair: ProjectionPair | None):

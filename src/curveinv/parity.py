@@ -79,11 +79,14 @@ class PolynomialPath:
             raise ValueError("coefficient matrices must be dim x dim")
         object.__setattr__(self, "coefficients", mats)
 
+    def _scaled_lift(self):
+        return _poly.to_int_matrix(_poly.mat_lift(self.coefficients))
+
     def evaluate(self, lam) -> _linalg.Matrix:
-        return _poly.mat_eval_at(_poly.mat_lift(self.coefficients), lam)
+        return _poly.mat_eval_at(self._scaled_lift(), lam)
 
     def determinant_polynomial(self):
-        return _poly.mat_det_bareiss(_poly.mat_lift(self.coefficients))
+        return _poly.mat_det_bareiss(self._scaled_lift())
 
     def is_admissible(self) -> bool:
         return all(_linalg.det(self.evaluate(lam)) != 0 for lam in (self.a, self.b))
@@ -91,7 +94,8 @@ class PolynomialPath:
     def ensure_admissible(self) -> tuple[Fraction, Fraction]:
         """Raise NotAdmissible unless the path is invertible at both
         endpoints; returns the two endpoint determinants."""
-        return self._nonzero_at_endpoints(lambda lam: _linalg.det(self.evaluate(lam)))
+        lift = self._scaled_lift()
+        return self._nonzero_at_endpoints(lambda x: _linalg.det(_poly.mat_eval_at(lift, x)))
 
     def _nonzero_at_endpoints(self, value) -> tuple:
         """``value(a)`` and ``value(b)``, the determinant at the endpoints;

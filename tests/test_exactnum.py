@@ -158,10 +158,11 @@ def test_det_matches_sympy_berkowitz_oracle(rng):
             det = list(sympy_schur_numerator(grid, dim)[0])
             det += [F(0)] * (order + 1 - len(det))
             assert jet_det(lift, order).coeffs == tuple(det[: order + 1])
-            # the same elimination stopped after each leading block
+            # the same elimination stopped after each leading block, on the
+            # lift scaled to integers as the kernel takes it
             for steps in range(dim + 1):
                 want = sympy_schur_numerator(grid, steps)
-                det_b, s, f = _poly.mat_eliminate(lift, steps)
+                det_b, s, f = _poly.mat_eliminate(_poly.to_int_matrix(lift), steps)
                 if want[0]:
                     schur = [[tuple([f * c for c in p]) for p in row] for row in s]
                     assert (det_b, schur) == want, (dim, degree, steps)
@@ -358,11 +359,13 @@ W = 2**64 - 1
 @example(([], [[(1,), (2,)]], 2))
 def test_mat_mul_is_the_schoolbook_product(operands):
     a, b, cap = operands
-    got = _poly.mat_mul(a, b, cap)
-    assert [[_poly.poly(p) for p in row] for row in got] == _schoolbook(a, b, cap)
-    coeffs = [c for mat in (a, b) for row in mat for p in row for c in p]
-    ring = int if all(type(c) is int for c in coeffs) else F
-    assert all(type(c) is ring for row in got for p in row for c in p)
+    # the kernel takes integer operands: rational and mixed draws are
+    # scaled first, as every caller does
+    (ia, _), (ib, _) = _poly.to_int_matrix(a), _poly.to_int_matrix(b)
+    got = _poly.mat_mul(ia, ib, cap)
+    assert [[_poly.poly(p) for p in row] for row in got] == _schoolbook(ia, ib, cap)
+    # int in, int out
+    assert all(type(c) is int for row in got for p in row for c in p)
     # the rational product is its degree-0 case, over Q whatever the input
     ca, cb = (
         tuple(tuple(F(p[0]) if p else F(0) for p in row) for row in mat)
@@ -372,6 +375,22 @@ def test_mat_mul_is_the_schoolbook_product(operands):
     want = _schoolbook([[p[:1] for p in row] for row in a], b, 1)
     assert prod == tuple(tuple(p[0] if p else F(0) for p in row) for row in want)
     assert all(type(c) is F for row in prod for c in row)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[(F(1, 2),)]], [[(2,)]]),
+        ([[(1,)]], [[(F(3),)]]),
+        ([[(1,), (F(1, 2),)], [(), (3,)]], [[(1,), ()], [(), (1,)]]),
+        ([[(1,), ()], [(), (1,)]], [[(1, F(5, 3)), (2,)], [(), (-1,)]]),
+    ],
+    ids=["1x1-half", "1x1-integral-fraction", "2x2-left", "2x2-right"],
+)
+def test_mat_mul_refuses_a_fraction_operand(a, b):
+    # a Fraction has no bits to pack: the product raises, never floors
+    with pytest.raises((AttributeError, TypeError)):
+        _poly.mat_mul(a, b)
 
 
 # -- elimination over Z at x = 2^w ----------------------------------------------
@@ -445,7 +464,7 @@ C = 2**200 - 1
 @example([[(), (1,), ()], [(), (), (1,)], [(1,), (), ()]])
 def test_mat_eliminate_is_the_polynomial_bareiss(m):
     for steps in range(len(m) + 1):
-        got = _poly.mat_eliminate(m, steps)
+        got = _poly.mat_eliminate(_poly.to_int_matrix(m), steps)
         assert got == _bareiss_over_zx(m, steps), steps
         det_b, s, f = got
         assert all(type(c) is F for c in det_b)
@@ -470,7 +489,12 @@ def test_det_multiplicative(order, data):
 
     a = draw_matrix()
     b = draw_matrix()
-    product = _poly.mat_mul(a, b, order + 1)
+    # the product over Z of the scaled operands, divided by both scales
+    (ia, da), (ib, db) = _poly.to_int_matrix(a), _poly.to_int_matrix(b)
+    product = [
+        [tuple([F(c, da * db) for c in p]) for p in row]
+        for row in _poly.mat_mul(ia, ib, order + 1)
+    ]
     assert agree(jet_det(product, order), jet_det(a, order) * jet_det(b, order))
 
 
@@ -525,7 +549,7 @@ def coefficient_matrices(draw):
 # one coefficient matrix, every entry zero
 @example([[[0, 0], [0, 0]]], F(-1, 3), F(0))
 def test_mat_eval_at_is_fraction_horner(coeffs, x, base):
-    got = _poly.mat_eval_at(_poly.mat_lift(coeffs), x)
+    got = _poly.mat_eval_at(_poly.to_int_matrix(_poly.mat_lift(coeffs)), x)
     assert got == _fraction_horner(coeffs, x)
     assert all(type(c) is F for row in got for c in row)
     # a curve reads its coefficients as powers of lam - base

@@ -355,6 +355,37 @@ def test_laurent_route_makes_one_exact_adjugate(monkeypatch, seed, n, value, wit
     assert value == expected
 
 
+def test_routes_hand_mat_mul_integer_operands(monkeypatch):
+    # the matrix kernels run over Z: each route scales its rational
+    # operands once, and no product sees a Fraction
+    curves = [fixtures.normalization_curve(), fixtures.nilpotent_shift_curve()]
+    for seed, n in ((3, 2), (1, 4)):
+        curves.append(curve_with_known_multiplicity(random.Random(seed), n)[0])
+    routes = [
+        multiplicity_schur,
+        multiplicity_laurent,
+        multiplicity_transversal,
+        algebraic_order,
+        lambda c: pointwise_product(c, c),
+    ]
+    calls, mat_mul = {}, _poly.mat_mul
+
+    def spy(a, b, cap=None):
+        ints = all(type(c) is int for m in (a, b) for row in m for p in row for c in p)
+        calls.setdefault(route, []).append(ints)
+        return mat_mul(a, b, cap)
+
+    monkeypatch.setattr(_poly, "mat_mul", spy)
+    for c in curves:
+        for route in routes:
+            try:
+                route(c)
+            except NotTransversal:
+                pass
+    assert len(calls) == len(routes)
+    assert all(all(ints) for ints in calls.values()), calls
+
+
 
 def test_laurent_route_leaves_no_garbage():
     # the cofactor memo of LaurentMatrix.det is freed on return, not left

@@ -93,6 +93,18 @@ def test_only_the_interval_route_evaluates_endpoint_matrices(monkeypatch):
     assert calls == []
 
 
+def test_interval_parity_scales_the_path_once(monkeypatch):
+    calls, scale = [], _poly.to_int_matrix
+    monkeypatch.setattr(_poly, "to_int_matrix", lambda m: calls.append(m) or scale(m))
+    paths = [fixtures.crossing_path(), fixtures.constant_invertible_path()]
+    paths.append(diag_path([[F(1, 2), 1], [F(-1, 3), 0, F(5, 7)]], a=F(1, 4), b=2))
+    for path in paths:
+        calls.clear()
+        interval_parity(path)
+        # both endpoints are read off one lift scaled to integers
+        assert len(calls) == 1
+
+
 def test_interval_parity_depends_only_on_endpoints():
     # same endpoint matrices, different interiors
     base = fixtures.crossing_path()
