@@ -467,8 +467,8 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     ``w = bits A + bits B + bits(k*l) + 1`` it lies below 2^(w-1) in
     absolute value, and the packed product holds it as one signed w-bit
     digit, read back from the low end with a borrow.  Callers scale
-    rational operands with ``to_int_matrix``: a ``Fraction`` coefficient
-    raises here rather than give a floored product.
+    rational operands to integers first: a rational coefficient raises
+    here rather than give a floored product.
     """
     k, m = len(b), len(b[0]) if b else 0
     la = max((len(p) for row in a for p in row), default=0)

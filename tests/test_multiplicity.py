@@ -386,7 +386,6 @@ def test_routes_hand_mat_mul_integer_operands(monkeypatch):
     assert all(all(ints) for ints in calls.values()), calls
 
 
-
 def test_laurent_route_leaves_no_garbage():
     # the cofactor memo of LaurentMatrix.det is freed on return, not left
     # in a reference cycle for the collector
