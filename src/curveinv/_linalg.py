@@ -3,9 +3,9 @@
 Matrices are tuples of row tuples of ``Fraction``, vectors tuples of
 ``Fraction``.  The module is construction, the product (``_poly.mat_mul``
 on the operands scaled to integers) and one fraction-free elimination
-over Z, ``_echelon``: ``rref`` (and through it rank, kernels and
-inverses) and ``det`` only read its integer rows.  Both run over Z, and
-only their outputs are rational.  Row reduction picks the leftmost pivot.
+over Z, ``_echelon``: ``rref`` (and through it kernels and inverses)
+and ``det`` read its integer rows, ``rank`` its pivot count.  Both run
+over Z, only their outputs are rational, and pivots are leftmost.
 """
 
 from __future__ import annotations
@@ -101,14 +101,7 @@ def rref(a: Matrix):
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def kernel_basis(a: Matrix) -> list:
-    """Canonical basis of the null space, one vector per free column."""
-    return kernel_from_rref(*rref(a), shape(a)[1])
+    return len(_echelon(a)[1])
 
 
 def kernel_from_rref(red: Matrix, pivots, m: int) -> list:

@@ -525,41 +525,43 @@ def multiplicity_laurent(
 # Route 4: transversal eigenvalues
 
 
-def _kernel_chain(curve: MatrixCurveJet):
-    """K_1, ..., K_{degree+1}, lazily: one elimination of the coefficient
-    stack per level, each level stacking one more coefficient."""
-    stacked: list = []
-    for c in curve.coefficients:
-        stacked.extend(c)
-        yield tuple(_linalg.kernel_basis(tuple(stacked)))
+def _walk(curve: MatrixCurveJet):
+    """One lazy walk up the kernel chain: K_1, then for kappa = 1..degree
+    the certificate at kappa and K_{kappa+1} in turn.
 
-
-def _certificates(curve: MatrixCurveJet):
-    """The certificates at kappa = 1..degree, lazily; each extends the
-    last by the pivot columns of the image of K_kappa under L_kappa."""
+    Each level is one elimination: ``rref(T)`` gives the range columns and
+    K_1, and ``rref(M)``, for ``M = L_kappa*B`` and B the basis of K_kappa,
+    the image's pivot columns and K_{kappa+1}, the columns of B*C for C
+    the kernel of M.  That is the stack L_0 .. L_kappa's canonical basis:
+    B is the identity on the stack's free columns S_kappa, so B*C is the
+    identity on M's free set, which contains S_{kappa+1} and has its size;
+    and a kernel basis that is the identity on given coordinates is unique.
+    """
     n = curve.dim
     t = curve.constant_term()
-    range_cols = [tuple(row[j] for row in t) for j in _linalg.rref(t)[1]]
-    image_cols: list = []
-    image_dims: list = []
-    # the coefficients come first, so zip stops before the chain's extra level
-    levels = zip(curve.coefficients[1:], _kernel_chain(curve))
-    for kappa, (lk, basis) in enumerate(levels, start=1):
+    red, pivots = _linalg.rref(t)
+    range_cols = [tuple(row[j] for row in t) for j in pivots]
+    basis = tuple(_linalg.kernel_from_rref(red, pivots, n))
+    yield basis
+    image_cols, image_dims = [], []
+    for kappa, lk in enumerate(curve.coefficients[1:], start=1):
         mapped = _linalg.matmul(lk, _linalg.hstack(basis, n))
-        image = [tuple(row[j] for row in mapped) for j in _linalg.rref(mapped)[1]]
+        red, pivots = _linalg.rref(mapped)
+        image = [tuple(row[j] for row in mapped) for j in pivots]
         image_dims.append(len(image))
         image_cols.extend(image)
         assembled = _linalg.hstack(image_cols + range_cols, n)
         r = _linalg.rank(assembled)
-        total = len(image_cols) + len(range_cols)
         yield TransversalityCertificate(
-            holds=bool(image) and r == total == n,
+            holds=bool(image) and r == len(image_cols) + len(range_cols) == n,
             kappa=kappa,
             image_dims=tuple(image_dims),
             assembled_matrix=assembled,
             assembled_rank=r,
             last_image_nonzero=bool(image),
         )
+        basis = _linalg.matmul(_linalg.kernel_from_rref(red, pivots, len(basis)), basis)
+        yield basis
 
 
 def nested_kernels(curve: MatrixCurveJet, upto: int):
@@ -572,7 +574,7 @@ def nested_kernels(curve: MatrixCurveJet, upto: int):
     """
     if upto > curve.degree + 1:
         raise ValueError("requested depth exceeds the stored derivatives")
-    return list(itertools.islice(_kernel_chain(curve), max(upto, 0)))
+    return list(itertools.islice(_walk(curve), 0, max(2 * upto - 1, 0), 2))
 
 
 def is_kappa_transversal(curve: MatrixCurveJet, kappa: int) -> TransversalityCertificate:
@@ -580,16 +582,17 @@ def is_kappa_transversal(curve: MatrixCurveJet, kappa: int) -> TransversalityCer
     kappa-th step of the walk up the kernel chain."""
     if kappa < 1 or kappa > curve.degree:
         raise ValueError("transversality order must lie in 1..degree")
-    return next(itertools.islice(_certificates(curve), kappa - 1, None))
+    return next(itertools.islice(_walk(curve), 2 * kappa - 1, None))
 
 
 def multiplicity_transversal(curve: MatrixCurveJet) -> MultiplicityReport:
     """Weighted kernel-image dimension sum at the minimal transversality
-    order, read off one walk up the kernel chain; raises NotTransversal
-    when no stored order works."""
-    if _linalg.rank(curve.constant_term()) == curve.dim:
+    order, read off one walk up the kernel chain (0 when K_1 is empty);
+    raises NotTransversal when no stored order works."""
+    walk = _walk(curve)
+    if not next(walk):
         return MultiplicityReport.finite(0, "transversal")
-    for cert in _certificates(curve):
+    for cert in itertools.islice(walk, 0, None, 2):
         if cert.holds:
             value = sum(j * d for j, d in enumerate(cert.image_dims, start=1))
             return MultiplicityReport.finite(value, "transversal")

@@ -89,7 +89,11 @@ class PolynomialPath:
         return _poly.mat_det_bareiss(self._scaled_lift())
 
     def is_admissible(self) -> bool:
-        return all(_linalg.det(self.evaluate(lam)) != 0 for lam in (self.a, self.b))
+        try:
+            self.ensure_admissible()
+        except NotAdmissible:
+            return False
+        return True
 
     def ensure_admissible(self) -> tuple[Fraction, Fraction]:
         """Raise NotAdmissible unless the path is invertible at both

@@ -178,6 +178,23 @@ def test_rref_matches_sympy(rng):
                 _linalg.inverse(a)
 
 
+def test_rank_reads_the_pivot_count_without_rref(monkeypatch, rng):
+    cases = [(), ((),) * 3]  # 0 x 0 and 3 x 0
+    for n, m in [(1, 1), (2, 5), (3, 3), (4, 4), (5, 2), (6, 6)]:
+        for _ in range(4):
+            rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.5:  # rank-deficient
+                rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[-2])]
+            cases.append(_linalg.freeze(rows))
+    want = [len(_linalg.rref(a)[1]) for a in cases]
+
+    def refuse(a):
+        raise AssertionError("rank built reduced rows")
+
+    monkeypatch.setattr(_linalg, "rref", refuse)
+    assert [_linalg.rank(a) for a in cases] == want
+
+
 def test_validate_rejects_wrong_pair():
     t = mat([[0, 1], [0, 0]])
     good = projection_pair(t)
@@ -482,35 +499,49 @@ def _certificate_from_scratch(c, kappa):
     )
 
 
+# a Jordan block: transversal at no order, with zero top coefficients
+JORDAN_ZERO_TOP = ([[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+
+
 def test_certificates_match_the_per_order_construction():
     rng = random.Random(4242)
+    cases = [curve_with_known_multiplicity(rng, max_degree=6) for _ in range(60)]
+    rng = random.Random(12345)  # the criterion-1 draws
+    cases += [curve_with_known_multiplicity(rng, max_degree=8) for _ in range(500)]
+    cases += [
+        (curve(2, [[1, 2], [3, 4]], [[0, 1], [1, 0]]), 0),  # invertible constant term
+        (curve(2, *JORDAN_ZERO_TOP), None),
+        (fixtures.zero_curve(), None),
+    ]
     refused = held = 0
-    for _ in range(60):
-        c, expected = curve_with_known_multiplicity(rng, max_degree=6)
+    for c, expected in cases:
         stacked = []
         for j, k in enumerate(nested_kernels(c, c.degree + 1), start=1):
             stacked.extend(c.coefficients[j - 1])
-            assert k == tuple(_linalg.kernel_basis(_linalg.freeze(stacked)))
+            # the canonical basis of the whole stack, eliminated from scratch
+            assert k == tuple(_linalg.kernel_from_rref(*_linalg.rref(tuple(stacked)), c.dim))
         for kappa in range(1, c.degree + 1):
             cert = is_kappa_transversal(c, kappa)
             assert cert == _certificate_from_scratch(c, kappa)
             held += cert.holds
         try:
-            assert multiplicity_transversal(c).value == expected
+            value = multiplicity_transversal(c).value
         except NotTransversal:
             refused += 1
+        else:
+            assert value == expected
     assert refused and held
 
 
 def test_transversal_route_walks_the_kernel_chain_once(monkeypatch):
-    # a Jordan block: transversal at no order, with zero top coefficients
-    c = curve(2, [[0, 1], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    c = curve(2, *JORDAN_ZERO_TOP)
     calls = []
-    real = _linalg.kernel_basis
-    monkeypatch.setattr(_linalg, "kernel_basis", lambda a: calls.append(a) or real(a))
+    real = _linalg.rref
+    monkeypatch.setattr(_linalg, "rref", lambda a: calls.append(a) or real(a))
     with pytest.raises(NotTransversal):
         multiplicity_transversal(c)
-    assert len(calls) == c.degree
+    # one elimination of the constant term and one per level walked
+    assert len(calls) == c.degree + 1
 
 
 # -- transversalization -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit and property tests for path and loop parity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,26 @@ def test_interval_parity_scales_the_path_once(monkeypatch):
         interval_parity(path)
         # both endpoints are read off one lift scaled to integers
         assert len(calls) == 1
+
+
+def test_is_admissible_reads_ensure_admissible(monkeypatch):
+    # every path the criterion-4 generator draws, the rejected ones included
+    drawn, real = [], PolynomialPath.is_admissible
+    monkeypatch.setattr(PolynomialPath, "is_admissible", lambda p: drawn.append(p) or real(p))
+    rng = random.Random(777)
+    for _ in range(100):
+        random_admissible_path(rng)
+    monkeypatch.undo()
+    want = [all(_linalg.det(p.evaluate(lam)) != 0 for lam in (p.a, p.b)) for p in drawn]
+    calls, scale = [], _poly.to_int_matrix
+    monkeypatch.setattr(_poly, "to_int_matrix", lambda m: calls.append(m) or scale(m))
+    got = []
+    for path in drawn:
+        calls.clear()
+        got.append(path.is_admissible())
+        assert len(calls) == 1
+    assert got == want
+    assert True in got and False in got
 
 
 def test_interval_parity_depends_only_on_endpoints():
