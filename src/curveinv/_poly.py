@@ -330,8 +330,12 @@ class RootLocation:
             return self.exact
         return (self.lo + self.hi) / 2
 
-    def as_float(self) -> float:
-        return float(self.midpoint())
+    def as_float(self) -> float | None:
+        """The midpoint as a float, or None beyond float range."""
+        try:
+            return float(self.midpoint())
+        except OverflowError:
+            return None
 
     def __str__(self) -> str:
         if self.exact is not None:

@@ -241,6 +241,13 @@ def _power_tag(value: float, n: int, tol: float) -> str:
     return ""
 
 
+def _inconsistent(payload: dict, message: str) -> InternalConsistencyError:
+    """Exit 4 for a disagreement, carrying the report for ``--json``."""
+    exc = InternalConsistencyError(message)
+    exc.payload = payload
+    return exc
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -289,9 +296,10 @@ def _cmd_chi(args):
             "agreement": agree,
         }
         if not agree:
-            raise InternalConsistencyError(
+            raise _inconsistent(
+                payload,
                 "multiplicity routes disagree: "
-                + ", ".join(f"{k}={v}" for k, v in reports.items())
+                + ", ".join(f"{k}={v}" for k, v in reports.items()),
             )
     kind = next(iter(reports.values())).kind
     return payload, EXIT_OK if kind == "finite" else EXIT_PRECONDITION
@@ -333,9 +341,10 @@ def _cmd_classical(args):
             "determinant_route": _report_payload(cross),
         }
         if not (cross.is_finite and cross.value == report.multiplicity):
-            raise InternalConsistencyError(
+            raise _inconsistent(
+                payload,
                 f"kernel-chain multiplicity {report.multiplicity} disagrees with "
-                f"determinant order {cross}"
+                f"determinant order {cross}",
             )
     return payload, EXIT_OK
 
@@ -368,11 +377,13 @@ def _cmd_parity(args):
 
 
 def _check_rows(base: int, n: int, what: str) -> None:
-    """Reject a table of base^n rows above MAX_ROWS before building it."""
+    """Reject a table of base^n rows, or of n indices a row, above MAX_ROWS."""
     # base >= 2 gives base^k > MAX_ROWS at k = MAX_ROWS.bit_length(), so the
     # exponent is capped there and a huge n costs nothing to check
     if base ** min(n, MAX_ROWS.bit_length()) > MAX_ROWS:
         raise DocumentError(f"{what} would have {base}^{n} rows, above {MAX_ROWS}")
+    if n > MAX_ROWS:  # base 1 passes above at every n: one row of n indices
+        raise DocumentError(f"{what} would have a row of {n} indices, above {MAX_ROWS}")
 
 
 def _cmd_torsion(args):
@@ -526,7 +537,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+        payload, code = getattr(exc, "payload", None), EXIT_INTERNAL
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -162,37 +162,21 @@ class ProjectionPair:
         return _linalg.hstack([*self.range_basis, *self.range_complement], self.dim)
 
 
-def projection_pair(t: _linalg.Matrix, flavor: str = "leftmost") -> ProjectionPair:
-    """Deterministic projection pair for a square rational matrix.
-
-    ``flavor`` chooses the direction in which standard basis vectors are
-    scanned when completing bases ("leftmost" is the documented default;
-    "rightmost" exists so independence of the choice can be exercised).
-    """
-    if flavor not in ("leftmost", "rightmost"):
-        raise ValueError("flavor must be 'leftmost' or 'rightmost'")
-    reverse = flavor == "rightmost"
+def projection_pair(t: _linalg.Matrix) -> ProjectionPair:
+    """The canonical projection pair of a square rational matrix, read off
+    one elimination of ``[T | I]``: the pivots below n are T's, those at n
+    and above the standard vectors that complete R[T].  A route handed any
+    other pair checks it with ``validate_projection_pair``."""
     t = _linalg.freeze(t)
     n = len(t)
-    # one elimination of [T | scan]: the pivots below n are T's, those at n
-    # and above the scanned standard vectors that complete R[T]
     e = _linalg.identity(n)  # its rows are e_0 ... e_{n-1}
-    scan = e[::-1] if reverse else e  # symmetric: its rows are its columns
-    red, pivots = _linalg.rref(tuple(a + b for a, b in zip(t, scan)))
+    red, pivots = _linalg.rref(tuple(a + b for a, b in zip(t, e)))
     t_pivots = [j for j in pivots if j < n]
-    kernel = _linalg.kernel_from_rref(red, t_pivots, n)
-    range_b = [tuple(row[j] for row in t) for j in t_pivots]
-    kernel_complement = [e[j] for j in t_pivots]
-    range_complement = [scan[j - n] for j in pivots if j >= n]
-    if reverse:
-        kernel = list(reversed(kernel))
-        kernel_complement = list(reversed(kernel_complement))
-        range_b = list(reversed(range_b))
     return ProjectionPair(
-        kernel_basis=tuple(kernel),
-        kernel_complement=tuple(kernel_complement),
-        range_basis=tuple(range_b),
-        range_complement=tuple(range_complement),
+        kernel_basis=tuple(_linalg.kernel_from_rref(red, t_pivots, n)),
+        kernel_complement=tuple(e[j] for j in t_pivots),
+        range_basis=tuple(tuple(row[j] for row in t) for j in t_pivots),
+        range_complement=tuple(e[j - n] for j in pivots if j >= n),
     )
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from curveinv import _linalg
-from curveinv.multiplicity import MatrixCurveJet
+from curveinv.multiplicity import MatrixCurveJet, ProjectionPair, projection_pair
 from curveinv.parity import PolynomialPath
 
 
@@ -157,6 +157,31 @@ def random_rank_one_projection(rng: random.Random, n: int):
         if dot != 0:
             u = [a / dot for a in u]
             return tuple(tuple(ui * vj for vj in v) for ui in u)
+
+
+def random_projection_pair(rng: random.Random, t, span: int = 3) -> ProjectionPair:
+    """A random projection pair of T, drawn from the canonical one by
+    block-triangular changes of frame: the kernel basis K becomes K*A, its
+    complement K_c + K*X, the range basis R becomes R*B and its complement
+    R_c + R*Y, with A and B unit upper-triangular and every other entry of
+    A, X, B, Y an integer in [-span, span].  Both frames stay invertible,
+    so every draw is a valid pair."""
+    pair = projection_pair(t)
+
+    def plus(v, cols):
+        """v plus a random integer combination of cols."""
+        for u in cols:
+            c = rng.randint(-span, span)
+            v = tuple(a + c * b for a, b in zip(v, u))
+        return v
+
+    k, r = pair.kernel_basis, pair.range_basis
+    return ProjectionPair(
+        kernel_basis=tuple(plus(v, k[:j]) for j, v in enumerate(k)),
+        kernel_complement=tuple(plus(v, k) for v in pair.kernel_complement),
+        range_basis=tuple(plus(v, r[:j]) for j, v in enumerate(r)),
+        range_complement=tuple(plus(v, r) for v in pair.range_complement),
+    )
 
 
 def matrix_with_rational_spectrum(rng: random.Random, n: int):

@@ -1,5 +1,6 @@
 """Document round-trips, CLI behavior and the exit-code contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -276,6 +277,48 @@ def test_classical_command(capsys, tmp_path):
     assert payload["ascent"] == 2 and payload["multiplicity"] == 2
 
 
+def _off_by_one(route):
+    """``route`` with every value it reports raised by one: a route bug."""
+    return lambda *args: dataclasses.replace(route(*args), value=route(*args).value + 1)
+
+
+@pytest.mark.parametrize(
+    "route, argv, err, wrong",
+    [
+        pytest.param(
+            "multiplicity_laurent",
+            ["chi", "--method", "all", "--curve", fx("nilpotent_shift.json")],
+            "internal consistency failure: multiplicity routes disagree: "
+            "ord-det=2 (via ord-det), schur=2 (via schur), laurent=3 (via laurent)\n",
+            ("reports", "laurent"),
+            id="chi",
+        ),
+        pytest.param(
+            "multiplicity_det",
+            ["classical", "--matrix", fx("jordan_block.json"), "--mu", "0"],
+            "internal consistency failure: kernel-chain multiplicity 2 disagrees "
+            "with determinant order 3 (via ord-det)\n",
+            ("determinant_route",),
+            id="classical",
+        ),
+    ],
+)
+def test_disagreement_exits_4_and_writes_its_report(
+    route, argv, err, wrong, monkeypatch, tmp_path, capsys
+):
+    # the routes looked up on ``multiplicity`` see the off-by-one route; the
+    # report the command built still goes to --json
+    monkeypatch.setattr(multiplicity, route, _off_by_one(getattr(multiplicity, route)))
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == 4
+    assert capsys.readouterr().err == err
+    payload = json.loads(out.read_text())
+    assert payload["command"] == argv[0] and payload.get("agreement", False) is False
+    for key in wrong:
+        payload = payload[key]
+    assert payload["value"] == 3
+
+
 # -- parity commands --------------------------------------------------------------------
 
 
@@ -292,6 +335,24 @@ def test_parity_crossings_reports_root(capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "parity = -1" in text and "crossing at 0" in text
+
+
+@pytest.mark.parametrize("variant", ["crossings", "chi-sum"])
+def test_crossing_beyond_float_range_has_no_approx(variant, tmp_path, capsys):
+    # the 1x1 path lam - 10^400 crosses at 10^400, which no float holds
+    root = 10**400
+    doc = tmp_path / "far.json"
+    doc.write_text(json.dumps(
+        {"dim": 1, "interval": ["-1", str(10 * root)], "coefficients": [[[str(-root)]], [["1"]]]}
+    ))
+    out = tmp_path / "report.json"
+    assert main(["parity", variant, "--curve", str(doc), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    (crossing,) = json.loads(out.read_text())["crossings"]
+    assert crossing["approx"] is None and crossing["multiplicity"] == 1
+    assert text == f"parity = -1\n  crossing at {crossing['location']}  multiplicity 1\n"
+    lo, hi = (Fraction(x) for x in crossing["location"].strip("()").split(", "))
+    assert lo < root < hi
 
 
 def test_parity_chi_sum(capsys):
@@ -505,6 +566,7 @@ def test_huge_cutoff_reports_the_default_cutoffs_value(argv, bound, tmp_path, ca
         ["torsion", "table", "--n", "40"],
         ["weights", "--n", "12"],
         ["weights", "--n", "11", "--max-class", "1"],
+        ["weights", "--n", "1000000000", "--max-class", "0"],
     ],
 )
 def test_oversized_tables_exit_2_before_building(argv, capsys, monkeypatch):
@@ -553,6 +615,23 @@ def test_weights_command(capsys, tmp_path):
     assert abs(by_class[(0,)] - math.gamma(0.75) / math.pi ** 0.25) < 1e-12
     assert abs(by_class[(1,)] - by_class[(0,)] * math.exp(-math.pi)) < 1e-15
     assert abs(by_class[(2,)] - 3.21e-6) < 1e-8
+
+
+def test_row_check_keeps_every_table_it_accepted(monkeypatch, tmp_path, capsys):
+    # base 1 passes the row count at every n, so n itself is capped
+    cli._check_rows(1, cli.MAX_ROWS, "t")
+    with pytest.raises(errors.DocumentError):
+        cli._check_rows(1, cli.MAX_ROWS + 1, "t")
+    built = []
+    real = torsion.weight_table
+    monkeypatch.setattr(torsion, "weight_table", lambda *a: built.append(a) or real(*a))
+    out = tmp_path / "w.json"
+    assert main(["weights", "--n", "2", "--json", str(out)]) == 0
+    (args,) = built
+    table = real(*args)
+    entries = json.loads(out.read_text())["entries"]
+    assert [(tuple(e["deck_class"]), e["weight"]) for e in entries] == list(table.entries)
+    assert len(entries) == 25
 
 
 def test_weights_at_an_infinite_decay_are_finite(capsys, tmp_path):

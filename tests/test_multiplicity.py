@@ -9,6 +9,7 @@ from conftest import (
     curve_with_known_multiplicity,
     matrix_with_rational_spectrum,
     random_invertible,
+    random_projection_pair,
     random_rank_one_projection,
     sympy_poly_matrix,
     sympy_schur_numerator,
@@ -121,20 +122,18 @@ def test_projections_are_built_on_first_read(monkeypatch):
 
 
 def test_range_complement_keeps_the_rank_raising_scan():
-    # R[T] is the line through (1, 1, 0): forward, e1 = (1, 1, 0) - e0 adds
-    # nothing; backward, e0 = (1, 1, 0) - e1 does
-    e0, e1, e2 = _linalg.identity(3)  # the identity's columns are its rows
+    # R[T] is the line through (1, 1, 0): e0 raises the rank, then
+    # e1 = (1, 1, 0) - e0 adds nothing and e2 does
+    e0, _, e2 = _linalg.identity(3)  # the identity's columns are its rows
     t = mat([[1, 0, 0], [1, 0, 0], [0, 0, 0]])
-    assert projection_pair(t, "leftmost").range_complement == (e0, e2)
-    assert projection_pair(t, "rightmost").range_complement == (e2, e1)
+    assert projection_pair(t).range_complement == (e0, e2)
 
 
-@pytest.mark.parametrize("flavor", ["leftmost", "rightmost"])
-def test_projection_pair_eliminates_once(monkeypatch, flavor):
+def test_projection_pair_eliminates_once(monkeypatch):
     calls = []
     real = _linalg.rref
     monkeypatch.setattr(_linalg, "rref", lambda a: calls.append(a) or real(a))
-    pair = projection_pair(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), flavor)
+    pair = projection_pair(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
     assert len(calls) == 1
     assert pair.kernel_dim == len(pair.range_complement) == 1
 
@@ -691,15 +690,15 @@ def test_route_equivalence_on_random_curves(rng):
 
 
 def test_projection_pair_independence(rng):
-    for _ in range(20):
-        c, expected = curve_with_known_multiplicity(rng, n=rng.randint(1, 4),
-                                                    max_degree=5)
+    # chi does not depend on the pair: Schur and Laurent give the known
+    # value in a random valid frame of each criterion-1 curve
+    for _ in range(500):
+        c, expected = curve_with_known_multiplicity(rng)
         t = c.constant_term()
-        left = projection_pair(t, flavor="leftmost")
-        right = projection_pair(t, flavor="rightmost")
-        assert multiplicity_schur(c, pair=left).value == expected
-        assert multiplicity_schur(c, pair=right).value == expected
-        assert multiplicity_laurent(c, pair=right).value == expected
+        pair = random_projection_pair(rng, t)
+        validate_projection_pair(t, pair)
+        assert multiplicity_schur(c, pair=pair).value == expected
+        assert multiplicity_laurent(c, pair=pair).value == expected
 
 
 def test_product_formula(rng):
@@ -842,8 +841,8 @@ def test_schur_witness_against_sympy_oracle(rng):
     checked = 0
     while checked < 20:
         c, expected = curve_with_known_multiplicity(rng, n=rng.randint(1, 5), max_degree=5)
-        for flavor in ("leftmost", "rightmost"):
-            pair = projection_pair(c.constant_term(), flavor)
+        t = c.constant_term()
+        for pair in (projection_pair(t), random_projection_pair(rng, t)):
             k = pair.kernel_dim
             grid = sympy_schur_numerator(_sympy_framed(c, pair), c.dim - k)[1]
             det_s = list(sympy_schur_numerator(sympy_poly_matrix(grid), k)[0])

@@ -10,8 +10,9 @@ comparing.
 
 For every curve the dump holds the ``kind``, ``value``, ``method``,
 ``order_bound`` and the ``repr`` and ``str`` of the witness of each
-multiplicity route (``schur`` and ``laurent`` with the default leftmost
-pair and with an explicit rightmost pair), a route's exception where it
+multiplicity route (``schur`` and ``laurent`` with the default pair and
+with an explicit second pair, the canonical pair of the reversed matrix
+``J*T*J`` mapped back by the reversal ``J``), a route's exception where it
 raises one, and the ``repr`` of ``algebraic_order``, of both pairs' ``P``
 and ``Q``, of ``schur_operator`` and of ``local_determinant``, of
 ``is_kappa_transversal`` at every order 1..degree, of
@@ -44,6 +45,7 @@ integers; it walks every scheduled draw, those the benchmark rejects on
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -177,9 +179,11 @@ def curve_dump(m, refusal, curve):
         *[repr(m.is_kappa_transversal(curve, k)) for k in range(1, curve.degree + 1)],
         repr(m.nested_kernels(curve, curve.degree + 1)),
     ]
-    for flavor in ("leftmost", "rightmost"):
-        pair = m.projection_pair(t, flavor)
-        pair_arg = None if flavor == "leftmost" else pair
+    # the second pair is the canonical pair of J*T*J, J the reversal, mapped
+    # back by J: a valid pair of T with other complements
+    flipped = m.projection_pair(tuple(row[::-1] for row in t[::-1]))
+    second = m.ProjectionPair(*[tuple(v[::-1] for v in vs) for vs in dataclasses.astuple(flipped)])
+    for pair, pair_arg in ((m.projection_pair(t), None), (second, second)):
         lines += [
             repr((pair.p, pair.q)),
             _report_line(attempt(lambda: m.multiplicity_schur(curve, pair_arg))),
