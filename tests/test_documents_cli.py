@@ -279,7 +279,11 @@ def test_classical_command(capsys, tmp_path):
 
 def _off_by_one(route):
     """``route`` with every value it reports raised by one: a route bug."""
-    return lambda *args: dataclasses.replace(route(*args), value=route(*args).value + 1)
+    def wrong(*args):
+        report = route(*args)
+        return dataclasses.replace(report, value=report.value + 1)
+
+    return wrong
 
 
 @pytest.mark.parametrize(
