@@ -1,11 +1,11 @@
 """Exact linear algebra on constant rational matrices (internal).
 
 Matrices are tuples of row tuples of ``Fraction``, vectors tuples of
-``Fraction``.  The module is construction, the product (``_poly.mat_mul``
-on the operands scaled to integers) and one fraction-free elimination
-over Z, ``_echelon``: ``rref`` (and through it kernels and inverses)
-and ``det`` read its integer rows, ``rank`` its pivot count.  Both run
-over Z, only their outputs are rational, and pivots are leftmost.
+``Fraction``.  The module is construction, the product and one
+fraction-free elimination over Z, ``_echelon``: ``rref`` (and through it
+kernels and inverses) and ``det`` read its integer rows, ``rank`` its
+pivot count.  Both scale a matrix to integers once (``_scaled``) and run
+over Z; only their outputs are rational, and pivots are leftmost.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from . import _poly
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 
@@ -38,12 +36,20 @@ def shape(m: Matrix):
     return len(m), len(m[0]) if m else 0
 
 
+def _scaled(a: Matrix):
+    """``(a*d, d)`` as integer rows, d the lcm of all of a's denominators."""
+    d = math.lcm(*[c.denominator for row in a for c in row])
+    return [[c.numerator * (d // c.denominator) for c in row] for row in a], d
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product: ``_poly.mat_mul`` of the operands scaled to integer
-    constant polynomials, each entry one ``Fraction`` over the two scales."""
-    (ia, da), (ib, db) = [_poly.to_int_matrix([[(x,) for x in r] for r in m]) for m in (a, b)]
-    prod, s = _poly.mat_mul(ia, ib), da * db
-    return tuple(tuple(Fraction(p[0], s) if p else Fraction(0) for p in row) for row in prod)
+    """Matrix product: each entry one integer dot product of the scaled
+    operands, and one ``Fraction`` over the product of the two scales."""
+    (ia, da), (ib, db) = _scaled(a), _scaled(b)
+    cols, s = list(zip(*ib)), da * db
+    return tuple(
+        tuple(Fraction(sum([x * y for x, y in zip(r, c)]), s) for c in cols) for r in ia
+    )
 
 
 def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:
@@ -54,22 +60,16 @@ def hstack(cols: Sequence[Sequence[Fraction]], n_rows: int) -> Matrix:
 def _echelon(a: Matrix):
     """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968).
 
-    Each row is scaled to integers by the lcm of its denominators.  At a
-    pivot ``p`` in row ``top`` every other row becomes
-    ``(p*row - f*top) // prev``, with ``f`` its entry in the pivot column and
-    ``prev`` the previous pivot, even where ``f`` is 0; each entry stays a
-    minor of the scaled matrix, so the division is exact, and every pivot
-    ends equal to the last one.  Returns the integer
-    rows, the pivot columns, the sign of the row swaps, the last pivot and
-    the product of the row scales.
+    The matrix is scaled to integers once, by one lcm d (``_scaled``).  At
+    a pivot ``p`` in row ``top`` every other row becomes
+    ``(p*row - f*top) // prev``, with ``f`` its entry in the pivot column
+    and ``prev`` the previous pivot, even where ``f`` is 0; each entry stays
+    a minor of the scaled matrix, so the division is exact, and every pivot
+    ends equal to the last one.  Returns the integer rows, the pivot
+    columns, the sign of the row swaps, the last pivot and ``d**n``.
     """
     n, m = shape(a)
-    rows = []
-    scale = 1
-    for row in a:
-        d = math.lcm(*[c.denominator for c in row])
-        rows.append([c.numerator * (d // c.denominator) for c in row])
-        scale *= d
+    rows, d = _scaled(a)
     pivots = []
     sign = 1
     prev = 1
@@ -91,7 +91,7 @@ def _echelon(a: Matrix):
         prev = p
         if r + 1 == n:
             break
-    return rows, pivots, sign, prev, scale
+    return rows, pivots, sign, prev, d**n
 
 
 def rref(a: Matrix):
@@ -132,7 +132,7 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant: the last pivot of the elimination over the row scales."""
+    """Determinant: the last pivot of the elimination over its scale."""
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")

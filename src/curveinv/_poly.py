@@ -29,14 +29,14 @@ reported root or bracket becomes a ``Fraction``.  The Sturm chain
 separates the roots; once an interval holds one, the sign of p alone
 refines it, as a simple root is the only place there where p changes sign.
 
-Every matrix product, polynomial or constant (``_linalg.matmul`` is its
-degree-0 case), is the one ``mat_mul`` of integer operands, by Kronecker
-substitution: each entry is packed into one integer, its value at
-x = 2^w, and each output entry is one sum of big-integer products, whose
-w-bit signed digits are its coefficients.  The width
-``w = bits A + bits B + bits(k*l) + 1`` (largest coefficients ``A`` and
-``B``, inner dimension ``k``, shorter longest entry ``l``) keeps every
-output coefficient below 2^(w-1) in absolute value.  A caller with
+Every matrix product with a polynomial operand is the one ``mat_mul`` of
+integer operands (constant matrices are ``_linalg.matmul``'s, one integer
+dot product an entry), by Kronecker substitution: each entry is packed
+into one integer, its value at x = 2^w, and each output entry is one sum
+of big-integer products, whose w-bit signed digits are its coefficients.
+The width ``w = bits A + bits B + bits(k*l) + 1`` (largest coefficients
+``A`` and ``B``, inner dimension ``k``, shorter longest entry ``l``) keeps
+every output coefficient below 2^(w-1) in absolute value.  A caller with
 rational operands scales each with ``to_int_matrix`` and divides the
 product by the two scales once.
 

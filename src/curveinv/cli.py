@@ -352,6 +352,9 @@ def _cmd_classical(args):
 def _cmd_parity(args):
     from . import parity
 
+    for flag in ("curve", "a", "b") if args.variant == "loop" else ("loop",):
+        if getattr(args, flag) is not None:
+            raise DocumentError(f"--{flag} does not apply to parity {args.variant}")
     if args.variant == "loop":
         if not args.loop:
             raise DocumentError("parity loop requires --loop FILE")

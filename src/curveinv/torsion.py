@@ -30,6 +30,7 @@ if TYPE_CHECKING:
 
 DEFAULT_PERIOD = 2.0 * math.sqrt(math.pi)
 DEFAULT_CUTOFF = 12
+MAX_TERMS = 10**7  # the most terms one lattice sum may add
 
 
 class NonpositiveTime(PreconditionError):
@@ -95,9 +96,11 @@ def _lattice_sums(decay: float, cutoff: int) -> tuple:
     that underflows to 0.0: the terms decrease in |m|, so every later one
     is 0.0 too.  A cutoff beyond 10**150 is bounded as 10**150: the tail
     past a smaller cutoff bounds the tail past a larger one, and
-    (10**150)**2 still converts to a float.  Refuses a tail bound at least
-    as large as the plain sum: every quotient by that sum would then carry
-    an unbounded error.
+    (10**150)**2 still converts to a float.  Refuses a cutoff past
+    ``MAX_TERMS`` where the term at ``MAX_TERMS`` is still nonzero, as the
+    loop would then run past it (for days at a small decay), and a tail
+    bound at least as large as the plain sum: every quotient by that sum
+    would then carry an unbounded error.
     """
     bounded = min(cutoff, 10**150)
     head = 2.0 * math.exp(-decay * (bounded + 1) ** 2)
@@ -105,6 +108,11 @@ def _lattice_sums(decay: float, cutoff: int) -> tuple:
     if ratio >= 1.0:
         raise CutoffTooSmall(
             "the lattice terms decay too slowly to bound the tail at this cutoff"
+        )
+    if cutoff > MAX_TERMS and 2.0 * math.exp(-decay * MAX_TERMS * MAX_TERMS) != 0.0:
+        raise PreconditionError(
+            f"the lattice sum would run past the term limit of {MAX_TERMS} terms "
+            "at this period; lower the cutoff or raise the period"
         )
     tail = head / (1.0 - ratio)
     plain = alternating = 1.0

@@ -387,6 +387,22 @@ def test_parity_loop_constant(capsys):
     assert "parity = +1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["loop", "--loop", "twisted_loop.json", "--a", "0", "--b", "1"], "--a"),
+        (["loop", "--loop", "twisted_loop.json", "--curve", "crossing_path.json"], "--curve"),
+        (["interval", "--curve", "crossing_path.json", "--loop", "twisted_loop.json"], "--loop"),
+    ],
+)
+def test_parity_flag_of_the_other_variant_exits_2(argv, flag, capsys):
+    args = [fx(a) if a.endswith(".json") else a for a in argv]
+    assert main(["parity", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} does not apply to parity {argv[0]}\n"
+
+
 def test_parity_inadmissible_exits_3(tmp_path):
     path = fixtures.crossing_path()
     doc = documents.path_to_document(path)
@@ -584,6 +600,19 @@ def test_oversized_tables_exit_2_before_building(argv, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(cli.MAX_ROWS) in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["torsion", "--signs=-1"], ["weights"], ["orientable", "--signs=-1"]]
+)
+def test_huge_cutoff_at_a_small_period_exits_3(command, capsys):
+    # the lattice loop would add about sqrt(745 / decay) = 5.5e7 terms here
+    argv = [*command, "--n", "1", "--period", "1e-6", "--cutoff", "1000000000000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "term limit" in captured.err
+    assert str(torsion.MAX_TERMS) in captured.err
 
 
 def test_torsion_table_builds_no_unit_box(monkeypatch, tmp_path, capsys):

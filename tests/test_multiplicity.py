@@ -373,14 +373,14 @@ def test_laurent_route_makes_one_exact_adjugate(monkeypatch, seed, n, value, wit
 
 def test_routes_hand_mat_mul_integer_operands(monkeypatch):
     # the matrix kernels run over Z: each route scales its rational
-    # operands once, and no product sees a Fraction
+    # operands once, and no product sees a Fraction; route 4 multiplies
+    # constant matrices only, in _linalg, and never calls mat_mul
     curves = [fixtures.normalization_curve(), fixtures.nilpotent_shift_curve()]
     for seed, n in ((3, 2), (1, 4)):
         curves.append(curve_with_known_multiplicity(random.Random(seed), n)[0])
     routes = [
         multiplicity_schur,
         multiplicity_laurent,
-        multiplicity_transversal,
         algebraic_order,
         lambda c: pointwise_product(c, c),
     ]
@@ -393,11 +393,12 @@ def test_routes_hand_mat_mul_integer_operands(monkeypatch):
 
     monkeypatch.setattr(_poly, "mat_mul", spy)
     for c in curves:
-        for route in routes:
+        for route in [*routes, multiplicity_transversal]:
             try:
                 route(c)
             except NotTransversal:
                 pass
+    assert multiplicity_transversal not in calls, calls[multiplicity_transversal]
     assert len(calls) == len(routes)
     assert all(all(ints) for ints in calls.values()), calls
 

@@ -129,6 +129,16 @@ def test_bare_import_loads_no_submodule():
     assert _fresh(script) == [0, []]
 
 
+def test_linalg_loads_no_polynomial_module():
+    # constant matrices are multiplied and eliminated in _linalg alone
+    script = (
+        "import json, sys, curveinv._linalg\n"
+        "print(json.dumps([0, sorted(m for m in sys.modules"
+        " if m.startswith('curveinv.'))]))"
+    )
+    assert _fresh(script) == [0, ["curveinv._linalg"]]
+
+
 @pytest.mark.parametrize(
     "argv, unused", COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in COMMANDS]
 )

@@ -95,6 +95,20 @@ def test_twisted_class_is_refused_where_the_alternating_sum_cancels():
     assert torsion_invariant(torus, Z2Homomorphism((1,)), cutoff).value == 1.0
 
 
+def test_lattice_sums_refuse_only_a_loop_past_the_term_limit(monkeypatch):
+    # the terms decrease in |m|, so the loop runs past MAX_TERMS exactly when
+    # the cutoff does and the term at MAX_TERMS is nonzero: 2 exp(-0.0745 *
+    # 100^2) is 1e-323, 2 exp(-0.0746 * 100^2) underflows (its m = 99 does not)
+    kept = [(decay, c) for decay in (0.0746, 1.0) for c in (101, 10**12, 10**200)]
+    kept.append((1e-3, 100))
+    before = [torsion._lattice_sums(*args) for args in kept]
+    monkeypatch.setattr(torsion, "MAX_TERMS", 100)
+    for decay in (1e-3, 0.0745):
+        with pytest.raises(PreconditionError, match="term limit of 100 terms"):
+            torsion._lattice_sums(decay, 101)
+    assert [torsion._lattice_sums(*args) for args in kept] == before
+
+
 def test_heat_prefactor_overflow_is_a_precondition():
     # (4 pi t) ** (-n/2) alone leaves float range: the power raises
     with pytest.raises(PreconditionError, match="heat-kernel normalization"):
