@@ -8,9 +8,10 @@ zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
 coerce, so integer inputs give integer results; ``poly`` is the coercing
 constructor for inputs.  The Euclidean kernels (``gcd``, ``div_exact``,
 ``squarefree_decomposition``, ``sturm_chain``) run over Z on primitive
-polynomials: a rational polynomial enters through ``primitive``, its
-positive multiple with coprime integer coefficients.  The matrix kernels
-run over Z only; a rational matrix enters once, through ``to_int_matrix``.
+polynomials: a rational one enters at their entry, through ``primitive``,
+and each remainder sheds only its content.  The matrix kernels run over Z
+only; a rational matrix enters once, through ``to_int_matrix`` (in one
+pass from a stack of coefficient matrices, ``scaled_lift``).
 One fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
 determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
 complement of a leading block, with one rational factor; the adjugate of
@@ -20,13 +21,13 @@ over Z alone.  All operations are exact, no floating point anywhere.
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
 evaluation: ``eval_at`` is its ``Fraction`` reading, divided by d^deg
-once, ``mat_eval_at`` reads each entry of a scaled pair ``(m*d, d)`` the
-same way, and a Sturm sign is its sign, never divided, as d > 0.
-The bisection of ``count_roots_open`` and ``isolate_roots`` keeps each
-point as an integer N over q 2^e, with q the lcm of the endpoints'
-denominators, and halves an interval by adding numerators; only a
-reported root or bracket becomes a ``Fraction``.  The Sturm chain
-separates the roots; once an interval holds one, the sign of p alone
+once, ``mat_eval_numerator`` reads a scaled matrix as integers over one
+scale, and a Sturm sign is its sign, never divided, as d > 0.  The
+bisection of ``isolate_roots`` runs on a Sturm chain it is given, which
+ends in gcd(p, p'), keeps each point as an integer N over q 2^e, q the lcm
+of the endpoints' denominators, and halves an interval by adding
+numerators; only a reported root or bracket becomes a ``Fraction``.  The
+chain separates the roots; once an interval holds one, the sign of p alone
 refines it, as a simple root is the only place there where p changes sign.
 
 Every matrix product with a polynomial operand is the one ``mat_mul`` of
@@ -164,7 +165,8 @@ def derivative(p: Poly) -> Poly:
 
 
 def primitive(p: Poly) -> Poly:
-    """The positive multiple of p with coprime integer coefficients."""
+    """The positive multiple of p with coprime integer coefficients; the
+    entry of a rational p (a parity route's determinant, Euclid's inputs)."""
     d = math.lcm(*[c.denominator for c in p])
     ints = [c.numerator * (d // c.denominator) for c in p]
     g = math.gcd(*ints)
@@ -197,7 +199,8 @@ def _rem(a: Poly, b: Poly) -> Poly:
 
     Each step scales the running remainder by |lc(b)| and subtracts
     sign(lc b) * top * x^k * b: a positive multiple of the rational step,
-    so the remainder keeps its sign and every coefficient stays an integer.
+    so the remainder keeps its sign and every coefficient stays an integer,
+    and its content is all there is to divide out at the end.
     """
     r = list(a)
     lc = b[-1]
@@ -212,15 +215,16 @@ def _rem(a: Poly, b: Poly) -> Poly:
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    return primitive(r)
+    g = math.gcd(*r)
+    return tuple([c // g for c in r])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Greatest common divisor by the primitive remainder sequence: a
-    primitive int polynomial with a positive leading coefficient."""
+    """Greatest common divisor by the primitive remainder sequence (for b = a',
+    ``sturm_chain(a)``'s up to sign): primitive, with a positive leading term."""
+    a, b = primitive(a), primitive(b)
     while b:
         a, b = b, _rem(a, b)
-    a = primitive(a)
     return neg(a) if a and a[-1] < 0 else a
 
 
@@ -283,8 +287,8 @@ def _variations(chain, n: int, d: int, pn) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _sturm_endpoints(p: Poly, a, b):
-    """The Sturm chain of p, q = lcm(den a, den b), and for each endpoint
+def _sturm_endpoints(chain, a, b):
+    """For a Sturm chain of p, q = lcm(den a, den b) and for each endpoint
     its integer numerator over q (``a*q``, ``b*q``), whether p is positive
     there and its variations; raises ValueError unless a < b and neither
     is a root.  The sign of p at a is what the refinement of an isolated
@@ -292,7 +296,6 @@ def _sturm_endpoints(p: Poly, a, b):
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError(f"the interval ({a}, {b}) must satisfy a < b")
-    chain = sturm_chain(p)
     q = math.lcm(a.denominator, b.denominator)
     ends = []
     for x in (a, b):
@@ -302,13 +305,13 @@ def _sturm_endpoints(p: Poly, a, b):
         if pn == 0:
             raise ValueError(f"the endpoint {x} is a root")
         ends += [n, pn > 0, _variations(chain, n, q, pn)]
-    return chain, q, ends
+    return q, ends
 
 
 def count_roots_open(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b); requires a < b and
     p(a), p(b) != 0."""
-    _, _, (_, _, va, _, _, vb) = _sturm_endpoints(p, a, b)
+    _, (_, _, va, _, _, vb) = _sturm_endpoints(sturm_chain(p), a, b)
     return va - vb
 
 
@@ -343,14 +346,15 @@ class RootLocation:
         return f"({self.lo}, {self.hi})"
 
 
-def isolate_roots(p: Poly, a, b):
-    """Locations of the distinct real roots of a square-free p in (a, b).
+def isolate_roots(chain, a, b):
+    """The distinct real roots in (a, b) of p = chain[0], for a Sturm chain
+    ending in a constant: a square-free p's, or one divided by its last member.
 
     The bisection runs on integers: with q = lcm(den a, den b), every point
     is a pair (N, e) standing for N / (q 2^e), the endpoints are (a q, 0)
     and (b q, 0), and the midpoint of (lo, e) and (hi, e) is (lo + hi,
     e + 1).  Signs are those of the numerators ``eval_numerator``, never
-    divided, as q 2^e > 0.  One Sturm chain separates the roots: its
+    divided, as q 2^e > 0.  The Sturm chain separates the roots: its
     variations count the roots of each half while an interval holds two or
     more.  A midpoint that is a root is reported exactly and splits its
     interval in two.  Each other root comes back as an isolating interval,
@@ -364,10 +368,10 @@ def isolate_roots(p: Poly, a, b):
     the full chain gives at every halving.  Only reported points become
     ``Fraction``s, equal to the midpoints ``(lo + hi) / 2`` of a bisection
     on ``Fraction``s.  Sorted by position.  Requires a < b and p(a),
-    p(b) != 0, and raises ValueError otherwise or when p has a repeated
-    root.
+    p(b) != 0, and raises ValueError otherwise or when the chain ends in a
+    nonconstant gcd.
     """
-    chain, q, (na, up, va, nb, _, vb) = _sturm_endpoints(p, a, b)
+    q, (na, up, va, nb, _, vb) = _sturm_endpoints(chain, a, b)
     # the chain ends in gcd(p, p'): a repeated root on a midpoint would
     # leave no sign there, and the counts would go wrong
     if degree(chain[-1]) > 0:
@@ -428,14 +432,18 @@ def mat_lift(coeffs) -> PolyMatrix:
 
 
 def mat_eval_at(scaled, x) -> tuple:
-    """m(x) at x = n/d, in ``Fraction``s, for ``scaled = (m*s, s)``: entry p
-    of the integer m*s reads ``eval_numerator(p, n, d)`` over s*d^deg p."""
-    n, d = Fraction(x).as_integer_ratio()
-    im, s = scaled
-    return tuple(
-        tuple([Fraction(eval_numerator(p, n, d), s * d ** max(len(p) - 1, 0)) for p in row])
-        for row in im
-    )
+    """m(x) in ``Fraction``s: ``mat_eval_numerator`` over its scale."""
+    im, t = mat_eval_numerator(scaled, x)
+    return tuple(tuple([Fraction(v, t) for v in row]) for row in im)
+
+
+def mat_eval_numerator(scaled, x):
+    """``(M, t)``, m(x) = M/t, M over Z: at x = n/d entry p of m*s is read as
+    ``eval_numerator(p, n, d) d^(deg - deg p)``, t = s d^deg (deg >= 0)."""
+    (n, d), (im, s) = Fraction(x).as_integer_ratio(), scaled
+    top = max([len(p) for row in im for p in row] + [1])
+    m = [[eval_numerator(p, n, d) * d ** (top - len(p)) for p in row] for row in im]
+    return m, s * d ** (top - 1)
 
 
 def mat_coefficients(m: PolyMatrix) -> tuple:
@@ -618,6 +626,15 @@ def to_int_matrix(m: PolyMatrix):
     return [
         [tuple([c.numerator * (d // c.denominator) for c in p]) for p in row]
         for row in m
+    ], d
+
+
+def scaled_lift(coeffs):
+    """``to_int_matrix(mat_lift(coeffs))``, in one pass over the stack."""
+    d = math.lcm(*[c.denominator for mat in coeffs for row in mat for c in row])
+    return [
+        [_trim([c.numerator * (d // c.denominator) for c in entry]) for entry in zip(*rows)]
+        for rows in zip(*coeffs)
     ], d
 
 

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import itertools
 import math
+import re
 import sys
 
 from . import documents
@@ -100,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     torus = (torus_flags, cutoff_flag)
 
     def command(name, help, *parents):
-        return sub.add_parser(name, help=help, parents=[*parents, json_flag])
+        parser = sub.add_parser(name, help=help, parents=[*parents, json_flag])
+        # "-1/2" is a value, not a flag, as argparse reads "-1" and "-0.5"
+        parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        return parser
 
     p_chi = command("chi", "multiplicity of a curve at its base point")
     p_chi.add_argument("--curve", required=True, metavar="FILE")

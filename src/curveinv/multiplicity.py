@@ -79,7 +79,7 @@ class MatrixCurveJet:
         return self.coefficients[0]
 
     def evaluate(self, lam) -> _linalg.Matrix:
-        lift = _poly.to_int_matrix(self.polynomial_lift())
+        lift = _poly.scaled_lift(self.coefficients)
         return _poly.mat_eval_at(lift, Fraction(lam) - self.base_point)
 
     def polynomial_lift(self):
@@ -96,7 +96,7 @@ def pointwise_product(a: MatrixCurveJet, b: MatrixCurveJet) -> MatrixCurveJet:
     (vanishing top coefficients are kept as zero matrices)."""
     if a.dim != b.dim or a.base_point != b.base_point:
         raise ValueError("curves must share dimension and base point")
-    (ia, da), (ib, db) = [_poly.to_int_matrix(c.polynomial_lift()) for c in (a, b)]
+    (ia, da), (ib, db) = [_poly.scaled_lift(c.coefficients) for c in (a, b)]
     s = da * db
     product = [[[Fraction(c, s) for c in p] for p in row] for row in _poly.mat_mul(ia, ib)]
     out = _poly.mat_coefficients(product)
@@ -345,8 +345,8 @@ def _schur_numerator(curve: MatrixCurveJet, pair: ProjectionPair | None):
     """
     pair = _pair_for(curve, pair)
     frames = (_linalg.inverse(pair.codomain_frame()), pair.domain_frame())
-    (cod_inv, s_c), (dom, s_d) = [_poly.to_int_matrix(_poly.mat_lift([m])) for m in frames]
-    lift, s_l = _poly.to_int_matrix(curve.polynomial_lift())
+    (cod_inv, s_c), (dom, s_d) = [_poly.scaled_lift([m]) for m in frames]
+    lift, s_l = _poly.scaled_lift(curve.coefficients)
     framed = _poly.mat_mul(_poly.mat_mul(cod_inv, lift), dom)
     return _poly.mat_eliminate((framed, s_c * s_l * s_d), curve.dim - pair.kernel_dim)
 
@@ -423,7 +423,7 @@ def _exact_adjugate(curve: MatrixCurveJet):
     (both have degree at most n * degree), and the order of ``det``, which
     the scale does not move.  Raises SingularToKnownOrder when det L is the
     zero polynomial."""
-    lift, s = _poly.to_int_matrix(curve.polynomial_lift())
+    lift, s = _poly.scaled_lift(curve.coefficients)
     adj, det = _poly.mat_adjugate_det(lift, mod_order=curve.order_bound() + 1)
     det_ord = _poly.low_order(det)
     if det_ord is None:
@@ -457,12 +457,8 @@ def multiplicity_laurent(
     # window below only reads slices of the exact adjugate and of the
     # compression A*adj*B, as a recomputation modulo x^work would give
     adj, det, det_ord, s_lift = _exact_adjugate(curve)
-    a_rows, s_a = _poly.to_int_matrix(
-        _poly.mat_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
-    )
-    b_cols, s_b = _poly.to_int_matrix(
-        _poly.mat_lift([_linalg.hstack(pair.range_complement, n)])
-    )
+    a_rows, s_a = _poly.scaled_lift([_linalg.inverse(pair.domain_frame())[n - k_dim :]])
+    b_cols, s_b = _poly.scaled_lift([_linalg.hstack(pair.range_complement, n)])
     compressed = _poly.mat_mul(_poly.mat_mul(a_rows, adj), b_cols)
     work = min(max(2 * curve.degree + 6, 8), full)
     while det_ord >= work:

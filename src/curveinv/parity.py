@@ -5,8 +5,8 @@ the sign of its determinant and a GL-valued parametrix has a constant
 determinant sign, so the parity of an admissible path collapses to the
 product of its endpoint determinant signs.  That reduction is the
 foundation of this module; the crossing-count and multiplicity-sum
-formulations are computed independently (exact Sturm isolation over the
-integers, square-free factor multiplicities) and must agree with it.
+formulations are computed independently (Sturm isolation, square-free
+factor multiplicities) and must agree with it.  All three run over Z.
 
 Closed curves are modeled as cyclic sequences of admissible polynomial
 segments and symbolic GL connectors.  A connector abstracts a path inside
@@ -79,14 +79,11 @@ class PolynomialPath:
             raise ValueError("coefficient matrices must be dim x dim")
         object.__setattr__(self, "coefficients", mats)
 
-    def _scaled_lift(self):
-        return _poly.to_int_matrix(_poly.mat_lift(self.coefficients))
-
     def evaluate(self, lam) -> _linalg.Matrix:
-        return _poly.mat_eval_at(self._scaled_lift(), lam)
+        return _poly.mat_eval_at(_poly.scaled_lift(self.coefficients), lam)
 
     def determinant_polynomial(self):
-        return _poly.mat_det_bareiss(self._scaled_lift())
+        return _poly.mat_det_bareiss(_poly.scaled_lift(self.coefficients))
 
     def is_admissible(self) -> bool:
         try:
@@ -97,9 +94,12 @@ class PolynomialPath:
 
     def ensure_admissible(self) -> tuple[Fraction, Fraction]:
         """Raise NotAdmissible unless the path is invertible at both
-        endpoints; returns the two endpoint determinants."""
-        lift = self._scaled_lift()
-        return self._nonzero_at_endpoints(lambda x: _linalg.det(_poly.mat_eval_at(lift, x)))
+        endpoints; returns the two endpoint determinants, read over Z."""
+        lift = _poly.scaled_lift(self.coefficients)
+        def det_at(x):  # one integer matrix m over t: det m, divided once
+            m, t = _poly.mat_eval_numerator(lift, x)
+            return _linalg.det(m) / t**self.dim
+        return self._nonzero_at_endpoints(det_at)
 
     def _nonzero_at_endpoints(self, value) -> tuple:
         """``value(a)`` and ``value(b)``, the determinant at the endpoints;
@@ -211,7 +211,7 @@ def interval_parity(path: PolynomialPath) -> ParityValue:
     """Product of the endpoint determinant signs.
 
     This is the parametrix formula specialized to finite dimension; it
-    depends on nothing but the two endpoint matrices.
+    depends on nothing but the two endpoint matrices, read over Z.
     """
     da, db = path.ensure_admissible()
     sign = (1 if da > 0 else -1) * (1 if db > 0 else -1)
@@ -222,18 +222,21 @@ def crossing_parity(path: PolynomialPath) -> ParityValue:
     """Parity as (-1) to the number of transversal crossings.
 
     A crossing is counted transversal exactly when the determinant root is
-    simple; a multiple root anywhere in the open interval raises
-    NonTransversalCrossing and the caller should fall back to
-    multiplicity_sum_parity.
+    simple; a multiple root in the open interval raises NonTransversalCrossing
+    (fall back to multiplicity_sum_parity).  One Sturm chain of det gives
+    gcd(det, det'), its last member up to sign, and isolates the roots.
     """
     det = _poly.primitive(path.determinant_polynomial())
     path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
-    common = _poly.gcd(det, _poly.derivative(det))
-    if _poly.count_roots_open(common, path.a, path.b) > 0:
-        raise NonTransversalCrossing(
-            "a determinant root of multiplicity > 1 lies in the interval"
-        )
-    roots = _poly.isolate_roots(_poly.div_exact(det, common), path.a, path.b)
+    chain = _poly.sturm_chain(det)
+    common = chain[-1] if chain[-1][-1] > 0 else _poly.neg(chain[-1])
+    if _poly.degree(common) > 0:
+        if _poly.count_roots_open(common, path.a, path.b) > 0:
+            raise NonTransversalCrossing(
+                "a determinant root of multiplicity > 1 lies in the interval"
+            )
+        chain = [_poly.div_exact(q, common) for q in chain]
+    roots = _poly.isolate_roots(chain, path.a, path.b)
     crossings = tuple(Crossing(location=r, multiplicity=1) for r in roots)
     return ParityValue(sign=(-1) ** len(roots), crossings=crossings)
 
@@ -249,7 +252,7 @@ def multiplicity_sum_parity(path: PolynomialPath) -> ParityValue:
     factors = _poly.squarefree_decomposition(det)
     crossings = []
     for factor, mult in factors:
-        for r in _poly.isolate_roots(factor, path.a, path.b):
+        for r in _poly.isolate_roots(_poly.sturm_chain(factor), path.a, path.b):
             crossings.append(Crossing(location=r, multiplicity=mult))
     crossings.sort(key=lambda c: c.location.midpoint())
     total = sum(c.multiplicity for c in crossings)

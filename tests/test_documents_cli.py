@@ -374,6 +374,30 @@ def test_parity_interval_overrides(capsys):
     assert "parity = +1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, flag, want",
+    [
+        (["parity", "interval", "--curve", "crossing_path.json"], "--a", "parity = -1\n"),
+        (["parity", "crossings", "--curve", "crossing_path.json"], "--b", "parity = +1\n"),
+        (["classical", "--matrix", "jordan_block.json"], "--mu", "multiplicity = 0\n"),
+    ],
+)
+def test_negative_fraction_flag_is_a_value(argv, flag, want, capsys):
+    # "-1/2" is read as a value, as "-1" and "-0.5" are, and gives what
+    # the glued form "--a=-1/2" gives
+    args = [fx(a) if a.endswith(".json") else a for a in argv]
+    outputs = []
+    for tail in ([flag, "-1/2"], [f"{flag}=-1/2"]):
+        assert main([*args, *tail]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.endswith(want)
+    # a flag in a value's place is still refused, with one error line
+    assert main([*args, flag, "--json", "r.json"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].endswith(f"argument {flag}: expected one argument")
+
+
 def test_parity_loop_twisted(capsys):
     code = main(["parity", "loop", "--loop", fx("twisted_loop.json")])
     assert code == 0

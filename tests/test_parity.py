@@ -85,18 +85,26 @@ def test_only_the_interval_route_evaluates_endpoint_matrices(monkeypatch):
         return det(a)
 
     monkeypatch.setattr(_linalg, "det", spy)
-    path = fixtures.crossing_path()
-    interval_parity(path)
-    assert calls == [path.evaluate(path.a), path.evaluate(path.b)]
-    calls.clear()
-    crossing_parity(path)
-    multiplicity_sum_parity(path)
-    assert calls == []
+    rational = diag_path([[F(1, 2), 1], [F(-1, 3), 0, F(5, 7)]], a=F(-1, 4), b=2)
+    for path in (fixtures.crossing_path(), rational):
+        calls.clear()
+        interval_parity(path)
+        # each endpoint matrix, as integers over one positive scale
+        assert len(calls) == 2
+        for m, x in zip(calls, (path.a, path.b)):
+            want = path.evaluate(x)
+            assert all(type(c) is int for row in m for c in row)
+            [ratio] = {F(c) / w for row, ws in zip(m, want) for c, w in zip(row, ws) if w}
+            assert ratio > 0 and m == [[ratio * w for w in row] for row in want]
+        calls.clear()
+        crossing_parity(path)
+        multiplicity_sum_parity(path)
+        assert calls == []
 
 
 def test_interval_parity_scales_the_path_once(monkeypatch):
-    calls, scale = [], _poly.to_int_matrix
-    monkeypatch.setattr(_poly, "to_int_matrix", lambda m: calls.append(m) or scale(m))
+    calls, scale = [], _poly.scaled_lift
+    monkeypatch.setattr(_poly, "scaled_lift", lambda m: calls.append(m) or scale(m))
     paths = [fixtures.crossing_path(), fixtures.constant_invertible_path()]
     paths.append(diag_path([[F(1, 2), 1], [F(-1, 3), 0, F(5, 7)]], a=F(1, 4), b=2))
     for path in paths:
@@ -115,8 +123,8 @@ def test_is_admissible_reads_ensure_admissible(monkeypatch):
         random_admissible_path(rng)
     monkeypatch.undo()
     want = [all(_linalg.det(p.evaluate(lam)) != 0 for lam in (p.a, p.b)) for p in drawn]
-    calls, scale = [], _poly.to_int_matrix
-    monkeypatch.setattr(_poly, "to_int_matrix", lambda m: calls.append(m) or scale(m))
+    calls, scale = [], _poly.scaled_lift
+    monkeypatch.setattr(_poly, "scaled_lift", lambda m: calls.append(m) or scale(m))
     got = []
     for path in drawn:
         calls.clear()
@@ -124,6 +132,47 @@ def test_is_admissible_reads_ensure_admissible(monkeypatch):
         assert len(calls) == 1
     assert got == want
     assert True in got and False in got
+
+
+@st.composite
+def rational_paths(draw):
+    """A path of dimension 1 to 3 and degree up to 3 with zero entries,
+    small unequal denominators and endpoints that are often negative; one
+    in two is (lam - c) M, the zero matrix at its endpoint c."""
+    n = draw(st.integers(1, 3))
+    fractions = st.fractions(-4, 4, max_denominator=6)
+    entries = st.integers(0, 3).flatmap(lambda k: fractions if k else st.just(F(0)))
+    matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ends = st.fractions(-3, 3, max_denominator=12)
+    a = draw(ends)
+    b = draw(ends.filter(lambda x: x != a))
+    a, b = min(a, b), max(a, b)
+    c = draw(st.sampled_from([None, None, a, b]))
+    if c is None:
+        coeffs = draw(st.lists(matrix, min_size=1, max_size=4))
+    else:
+        m = draw(matrix)
+        coeffs = [[[-c * x for x in row] for row in m], m]
+    return PolynomialPath(n, a, b, coeffs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_paths())
+# the zero path: every entry of the lift is the zero polynomial; and the
+# 0 x 0 path, whose lift has no entry at all and determinant 1
+@example(PolynomialPath(2, F(-1, 3), F(1, 2), [[[0, 0], [0, 0]]] * 2))
+@example(PolynomialPath(0, F(-1, 3), F(1, 2), [[]]))
+@example(PolynomialPath(1, F(-2, 3), F(5, 7), [[[F(2, 3)]], [[1]]]))
+def test_endpoint_determinants_are_read_over_z(path):
+    want = tuple(_linalg.det(path.evaluate(x)) for x in (path.a, path.b))
+    if 0 in want:
+        side, lam = ("left", path.a) if want[0] == 0 else ("right", path.b)
+        with pytest.raises(NotAdmissible) as err:
+            path.ensure_admissible()
+        assert str(err.value) == f"path is singular at the {side} endpoint {lam}"
+    else:
+        got = path.ensure_admissible()
+        assert repr(got) == repr(want) and all(type(v) is F for v in got)
 
 
 def test_interval_parity_depends_only_on_endpoints():
@@ -172,6 +221,45 @@ def test_crossing_parity_irrational_roots_isolated():
     for c in value.crossings:
         assert c.location.exact is None
         assert abs(abs(c.location.as_float()) - 2 ** 0.5) < 1e-3
+
+
+def test_crossing_parity_builds_one_chain_and_no_gcd(monkeypatch):
+    built, gcds = [], []
+    chain, gcd = _poly.sturm_chain, _poly.gcd
+    monkeypatch.setattr(_poly, "sturm_chain", lambda p: built.append(p) or chain(p))
+    monkeypatch.setattr(_poly, "gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+    # square-free determinants: one exact root, two irrational roots
+    for path in (fixtures.crossing_path(), diag_path([[-2, 0, 1], [1]], a=-2, b=2)):
+        built.clear()
+        crossing_parity(path)
+        assert len(built) == 1 and gcds == []
+
+
+@pytest.mark.parametrize("lead", [1, -1], ids=["positive", "negative"])
+def test_crossing_parity_divides_the_chain_by_its_gcd(lead, monkeypatch):
+    # (lam - 2)^2 (lam^2 - 1/3): the double root 2 lies outside (-1, 1), the
+    # roots +-sqrt(1/3) inside; with lead -1 the chain ends in -(lam - 2)
+    path = diag_path([[4, -4, 1], [F(-lead, 3), 0, lead]])
+    det = _poly.primitive(path.determinant_polynomial())
+    common = _poly.gcd(det, _poly.derivative(det))
+    squarefree = _poly.div_exact(det, common)
+    assert _poly.degree(common) == 1 and _poly.sturm_chain(det)[-1][-1] == lead
+    isolated, isolate = [], _poly.isolate_roots
+    monkeypatch.setattr(
+        _poly, "isolate_roots", lambda c, a, b: isolated.append(c) or isolate(c, a, b)
+    )
+    value = crossing_parity(path)
+    # the chain's last member, its sign fixed, is gcd(det, det'), and
+    # every member is divided by it
+    [chain] = isolated
+    assert chain[0] == squarefree and chain[-1] == (lead,)
+    want = isolate(_poly.sturm_chain(squarefree), path.a, path.b)
+    assert [repr(c.location) for c in value.crossings] == [repr(r) for r in want]
+    assert value.sign == 1 and len(want) == 2
+    # the double root moved inside the interval is refused
+    inside = diag_path([[4, -4, 1], [F(-lead, 3), 0, lead]], a=-1, b=3)
+    with pytest.raises(NonTransversalCrossing):
+        crossing_parity(inside)
 
 
 # -- multiplicity-sum parity -------------------------------------------------------
@@ -398,7 +486,8 @@ def test_root_machinery_against_sympy_oracle(rng):
         squarefree = _poly.div_exact(_poly.primitive(p), g)
         roots = real_roots(p)
         assert _poly.count_roots_open(squarefree, F(-1), F(1)) == len(set(roots))
-        check_locations(_poly.isolate_roots(squarefree, F(-1), F(1)), squarefree)
+        chain = _poly.sturm_chain(squarefree)
+        check_locations(_poly.isolate_roots(chain, F(-1), F(1)), squarefree)
 
         factors = _poly.squarefree_decomposition(p)
         assert [(to_sympy(f).monic(), m) for f, m in factors] == [
@@ -407,7 +496,7 @@ def test_root_machinery_against_sympy_oracle(rng):
         total = 0
         for f, mult in factors:
             assert_primitive_positive(f)
-            locations = _poly.isolate_roots(f, F(-1), F(1))
+            locations = _poly.isolate_roots(_poly.sturm_chain(f), F(-1), F(1))
             check_locations(locations, f)
             total += mult * len(locations)
         assert total == len(roots)
@@ -435,7 +524,8 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
     # exact roots 0 and +-1/2 fall on bisection midpoints of (-1, 1), and
     # +-sqrt(2/3) sit in the intervals they split off
     p = _poly.poly((0, F(1, 6), 0, F(-11, 12), 0, 1))  # x (x^2 - 1/4) (x^2 - 2/3)
-    locations = _poly.isolate_roots(p, F(-1), F(1))
+    locations = _poly.isolate_roots(_poly.sturm_chain(p), F(-1), F(1))
+    # the isolation builds no chain beyond the one it is given
     assert len(chains) == 1
     assert points and len(set(points)) == len(points)
     assert [r.exact for r in locations] == [None, F(-1, 2), F(0), F(1, 2), None]
@@ -456,7 +546,7 @@ def test_isolate_roots_refines_by_the_sign_of_p(monkeypatch):
         "eval_numerator",
         lambda q, n, d: points.append((q, F(n, d))) or evaluate(q, n, d),
     )
-    [root] = _poly.isolate_roots(p, F(0), F(1))
+    [root] = _poly.isolate_roots(chain, F(0), F(1))
     assert root.exact is None and root.hi - root.lo == F(1, 2**_poly.REFINE_STEPS)
     assert evaluate(p, root.lo.numerator, root.lo.denominator) > 0
     assert evaluate(p, root.hi.numerator, root.hi.denominator) < 0
@@ -566,7 +656,7 @@ def test_integer_bisection_matches_fraction_bisection(case):
     assert _poly.count_roots_open(p, a, b) == want
     squarefree = _poly.div_exact(_poly.primitive(p), _poly.gcd(p, _poly.derivative(p)))
     want = _fraction_bisection(squarefree, a, b)
-    got = _poly.isolate_roots(squarefree, a, b)
+    got = _poly.isolate_roots(_poly.sturm_chain(squarefree), a, b)
     assert [repr(r) for r in got] == [repr(r) for r in want]
     assert _poly.count_roots_open(squarefree, a, b) == len(got)
 
@@ -575,7 +665,7 @@ def test_integer_bisection_matches_fraction_bisection(case):
 def test_root_isolation_refuses_an_empty_interval(a, b):
     p = _poly.poly((F(-2, 3), 0, 1))  # x^2 - 2/3: no root at either endpoint
     with pytest.raises(ValueError, match="a < b"):
-        _poly.isolate_roots(p, a, b)
+        _poly.isolate_roots(_poly.sturm_chain(p), a, b)
     with pytest.raises(ValueError, match="a < b"):
         _poly.count_roots_open(p, a, b)
 
@@ -586,7 +676,7 @@ def test_root_isolation_refuses_a_repeated_root():
     p = _poly.mul((0, 0, 1), (F(-1, 3), 1))
     assert _poly.count_roots_open(p, -1, 1) == 2
     with pytest.raises(ValueError, match="square-free"):
-        _poly.isolate_roots(p, -1, 1)
+        _poly.isolate_roots(_poly.sturm_chain(p), -1, 1)
 
 
 def test_sturm_chain_is_primitive_classical_sequence(rng):

@@ -26,9 +26,10 @@ exit 3, five with exit 2 (a missing document among them) and the
 ``--help`` text of the program and of ``torsion``.  For every path it holds the
 ``repr`` of ``evaluate`` at both endpoints and at the interior point
 (2a + b)/3, of ``determinant_polynomial`` (the elimination kernel's
-output, pinned directly), and of the ``ParityValue`` of ``interval_parity``,
-``crossing_parity`` and ``multiplicity_sum_parity`` (crossings with
-their root locations), or the refusal a route raises
+output, pinned directly), of ``ensure_admissible`` (the two endpoint
+determinants, read off the integer lift), and of the ``ParityValue`` of
+``interval_parity``, ``crossing_parity`` and ``multiplicity_sum_parity``
+(crossings with their root locations), or the refusal a route raises
 (``NonTransversalCrossing`` on a repeated root).
 
 The inputs are the benchmark's, built by ``perfbench/workloads.py`` and
@@ -199,6 +200,7 @@ def path_dump(p, refusal, path):
     a, b = path.a, path.b
     lines = [repr(path.evaluate(x)) for x in (a, b, (2 * a + b) / 3)]
     lines.append(repr(path.determinant_polynomial()))
+    lines.append(repr(path.ensure_admissible()))
     for route in (p.interval_parity, p.crossing_parity, p.multiplicity_sum_parity):
         try:
             lines.append(repr(route(path)))
