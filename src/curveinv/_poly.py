@@ -7,11 +7,14 @@ zero polynomial is the empty tuple.  The ring operations (``add``, ``sub``,
 ``neg``, ``mul``, ``derivative``) serve both coefficient rings and never
 coerce, so integer inputs give integer results; ``poly`` is the coercing
 constructor for inputs.  The Euclidean kernels (``gcd``, ``div_exact``,
-``squarefree_decomposition``, ``sturm_chain``) run over Z on primitive
-polynomials: a rational one enters at their entry, through ``primitive``,
-and each remainder sheds only its content.  The matrix kernels run over Z
-only; a rational matrix enters once, through ``to_int_matrix`` (in one
-pass from a stack of coefficient matrices, ``scaled_lift``).
+``sturm_chain``) run over Z on primitive polynomials: a rational one
+enters at their entry, through ``primitive``, and each remainder sheds
+only its content.  ``squarefree_decomposition`` takes p's Sturm chain, as
+root isolation does, and reads Yun's first gcd(p, p') off its last member
+(``chain_gcd``), so p's primitive remainder sequence runs once.  The
+matrix kernels run over Z only; a rational matrix enters once, through
+``to_int_matrix`` (in one pass from a stack of coefficient matrices,
+``scaled_lift``).
 One fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
 determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
 complement of a leading block, with one rational factor; the adjugate of
@@ -48,7 +51,10 @@ matrix, whose sum of |coefficients| is at most the product of its rows'
 l1 norms.  The width is one bit past that bound, so a nonzero minor never
 evaluates to 0 (the pivots and swaps are those of the elimination over
 Z[x]) and every minor reads back exactly.  Each exact division by the
-previous pivot is read 2-adically, through one Newton inverse per step.
+previous pivot is a plain ``//`` while its quotient fits below CPython's
+Karatsuba cutoff (``SCHOOLBOOK_BITS``; every step of a parity route's
+determinant does), and past it is read 2-adically, through one Newton
+inverse per step.
 
 Tuples of coefficients are built from lists, not generators: CPython
 grows a tuple fed by a generator by repeated resizing, and with big-int
@@ -59,6 +65,7 @@ run by several MB.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -70,6 +77,10 @@ ONE: Poly = (Fraction(1),)
 
 # halvings of each isolating interval, so the reported bracket is readable
 REFINE_STEPS = 16
+
+# CPython's Karatsuba cutoff, 70 digits of its ints (2100 bits on 30-bit
+# digits): below it int products and long division are both schoolbook
+SCHOOLBOOK_BITS = 70 * sys.int_info.bits_per_digit
 
 
 def poly(coeffs: Iterable) -> Poly:
@@ -228,21 +239,25 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return neg(a) if a and a[-1] < 0 else a
 
 
-def squarefree_decomposition(p: Poly):
-    """Yun decomposition of a nonzero polynomial, over Z.
+def squarefree_decomposition(chain):
+    """Yun decomposition of a nonzero polynomial p, over Z, from its Sturm
+    chain ``sturm_chain(p)``.
 
     Returns ``[(g, m), ...]`` with ``p`` a constant multiple of
     ``prod g^m``, the ``g`` primitive with positive leading coefficients,
-    square-free, pairwise coprime and nonconstant, ``m`` ascending.  By
-    Gauss's lemma every division by a primitive gcd is exact over Z, and
-    ``w`` and ``y`` are divided by the same ``a``, so the recurrence needs
-    no monic normalization.
+    square-free, pairwise coprime and nonconstant, ``m`` ascending.  Yun's
+    first gcd(p, p') is the chain's last member (``chain_gcd``): the chain
+    is the primitive remainder sequence of ``gcd`` up to sign, so a caller
+    that isolates roots on the chain runs that sequence once.  By Gauss's
+    lemma every division by a primitive gcd is exact over Z, and ``w`` and
+    ``y`` are divided by the same ``a``, so the recurrence needs no monic
+    normalization.
     """
+    p = chain[0]
     if is_zero(p):
         raise ZeroDivisionError("square-free decomposition of zero")
-    p = primitive(p)
     dp = derivative(p)
-    a = gcd(p, dp)
+    a = chain_gcd(chain)
     w, y = div_exact(p, a), div_exact(dp, a)
     factors = []
     i = 1
@@ -274,6 +289,13 @@ def sturm_chain(p: Poly):
         chain.append(neg(rem))
     # only p' can be zero (p constant); a zero p stays, and reads 0 everywhere
     return chain if chain[-1] else chain[:-1]
+
+
+def chain_gcd(chain) -> Poly:
+    """gcd(p, p') read off the Sturm chain of a nonzero p: its last member
+    with a positive leading coefficient, equal to ``gcd(p, derivative(p))``."""
+    last = chain[-1]
+    return last if last[-1] > 0 else neg(last)
 
 
 def _variations(chain, n: int, d: int, pn) -> int:
@@ -548,12 +570,19 @@ def mat_eliminate(scaled, steps: int):
     coefficient lies below 2^(w-1) in absolute value: a nonzero minor never
     evaluates to 0, so the pivots and swaps are those of the elimination
     over Z[x], and ``_unpack`` reads each minor back exactly.  The Bareiss
-    division by the previous pivot ``prev = 2^t u`` (u odd) at step k is
-    exact over Z, and its quotient, a minor of k + 2 rows with at most
-    ``(k + 2) deg + 1`` coefficients, lies in the signed range of 2^K for
-    ``K = w ((k + 2) deg + 1)``.  So it is read 2-adically, as the
-    numerator shifted by t times the inverse of u mod 2^K, one Newton
-    inverse per step (plain ``//`` is quadratic in CPython).  Zero steps give
+    division by the previous pivot at step k is exact over Z, and its
+    quotient, a minor of k + 2 rows with at most ``(k + 2) deg + 1``
+    coefficients, lies in the signed range of 2^K for
+    ``K = w ((k + 2) deg + 1)``.  While K is at most ``SCHOOLBOOK_BITS``,
+    CPython's Karatsuba cutoff, the step divides by plain ``//``: there
+    products and long division are both schoolbook, and K, a bound, is
+    about twice the quotients' actual width on the parity routes'
+    determinants, so one ``//`` on the actual operands costs less than a
+    Newton inverse and two K-bit masked products.  Past the cutoff products
+    turn Karatsuba while ``//`` stays quadratic, so the step reads each
+    quotient 2-adically: for ``prev = 2^t u`` (u odd), the numerator
+    shifted by t times the inverse of u mod 2^K, one Newton inverse per
+    step.  Zero steps give
     ``(ONE, S, f)`` with ``f*S = m``, all of them ``(det m, [], f)``.  A
     singular ``B`` gives ``(ZERO, None, None)``: this elimination does not
     determine ``S~`` then.
@@ -576,20 +605,29 @@ def mat_eliminate(scaled, steps: int):
             else:
                 return ZERO, None, None
         kbits = w * ((k + 2) * deg + 1)
-        modulus, half = 1 << kbits, 1 << (kbits - 1)
-        mask = modulus - 1
-        t = (prev & -prev).bit_length() - 1
-        inv = _inverse_mod_2k(prev >> t, kbits)
         pivot, rk = a[k][k], a[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            c = ri[k]
-            for j in range(k + 1, n):
-                q = ((ri[j] * pivot - c * rk[j]) >> t & mask) * inv & mask
-                ri[j] = q - modulus if q >= half else q
-            ri[k] = 0
+        if kbits <= SCHOOLBOOK_BITS:
+            for i in range(k + 1, n):
+                ri = a[i]
+                c = ri[k]
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * pivot - c * rk[j]) // prev
+                ri[k] = 0
+        else:
+            modulus, half = 1 << kbits, 1 << (kbits - 1)
+            mask = modulus - 1
+            t = (prev & -prev).bit_length() - 1
+            inv = _inverse_mod_2k(prev >> t, kbits)
+            for i in range(k + 1, n):
+                ri = a[i]
+                c = ri[k]
+                for j in range(k + 1, n):
+                    q = ((ri[j] * pivot - c * rk[j]) >> t & mask) * inv & mask
+                    ri[j] = q - modulus if q >= half else q
+                ri[k] = 0
         prev = pivot
-    det_b = poly(Fraction(sign * x, d**steps) for x in _unpack(prev, w, steps * deg + 1))
+    scale = d**steps
+    det_b = tuple([Fraction(sign * x, scale) for x in _unpack(prev, w, steps * deg + 1)])
     top = (steps + 1) * deg + 1
     s = [[_unpack(v, w, top) for v in row[steps:]] for row in a[steps:]]
     g = math.gcd(*[c for row in s for p in row for c in p]) or 1
@@ -601,8 +639,10 @@ def _inverse_mod_2k(u: int, k: int) -> int:
     """The inverse of an odd u modulo 2^k, by Newton's iteration
     x -> x (2 - u x), which doubles the bits of x that are right.
 
-    Quicker than ``pow(u, -1, 1 << k)``, whose extended Euclid is quadratic:
-    over the inverses of the Schur route at n = 20 and 24 (k up to 170k and
+    ``mat_eliminate`` calls it only on steps past ``SCHOOLBOOK_BITS``,
+    where Karatsuba products make the 2-adic division pay.  Quicker than
+    ``pow(u, -1, 1 << k)``, whose extended Euclid is quadratic: over the
+    inverses of the Schur route at n = 20 and 24 (k up to 170k and
     312k bits) it takes 0.13 and 0.55 s against pow's 5.5 and 29.3 s on
     one Xeon core."""
     x, bits = 1, 1

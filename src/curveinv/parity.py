@@ -229,7 +229,7 @@ def crossing_parity(path: PolynomialPath) -> ParityValue:
     det = _poly.primitive(path.determinant_polynomial())
     path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
     chain = _poly.sturm_chain(det)
-    common = chain[-1] if chain[-1][-1] > 0 else _poly.neg(chain[-1])
+    common = _poly.chain_gcd(chain)
     if _poly.degree(common) > 0:
         if _poly.count_roots_open(common, path.a, path.b) > 0:
             raise NonTransversalCrossing(
@@ -246,13 +246,19 @@ def multiplicity_sum_parity(path: PolynomialPath) -> ParityValue:
 
     The local multiplicity at a root equals its multiplicity in the
     determinant polynomial, read off an exact square-free decomposition.
+    One Sturm chain of det gives the decomposition its first gcd(det, det').
+    A factor equal to det up to sign (a square-free det) is isolated on
+    that chain, whose signs are its own or all flipped; any other factor
+    gets its own chain.
     """
     det = _poly.primitive(path.determinant_polynomial())
     path._nonzero_at_endpoints(lambda lam: _poly.eval_at(det, lam))
-    factors = _poly.squarefree_decomposition(det)
+    chain = _poly.sturm_chain(det)
     crossings = []
-    for factor, mult in factors:
-        for r in _poly.isolate_roots(_poly.sturm_chain(factor), path.a, path.b):
+    for factor, mult in _poly.squarefree_decomposition(chain):
+        # factor divides det and both are primitive: equal degree is +-det
+        own = chain if len(factor) == len(det) else _poly.sturm_chain(factor)
+        for r in _poly.isolate_roots(own, path.a, path.b):
             crossings.append(Crossing(location=r, multiplicity=mult))
     crossings.sort(key=lambda c: c.location.midpoint())
     total = sum(c.multiplicity for c in crossings)

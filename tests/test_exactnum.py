@@ -1,7 +1,9 @@
 """Unit and property tests for the exact jet/Laurent arithmetic."""
 
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -463,14 +465,18 @@ C = 2**200 - 1
 # a zero leading column: a swap, then a singular leading block
 @example([[(), (1,), ()], [(), (), (1,)], [(1,), (), ()]])
 def test_mat_eliminate_is_the_polynomial_bareiss(m):
-    for steps in range(len(m) + 1):
-        got = _poly.mat_eliminate(_poly.to_int_matrix(m), steps)
-        assert got == _bareiss_over_zx(m, steps), steps
-        det_b, s, f = got
-        assert all(type(c) is F for c in det_b)
-        if s is not None:
-            assert type(f) is F
-            assert all(type(c) is int for row in s for p in row for c in p)
+    # every step divides 2-adically under a cutoff of 0, and by plain // under
+    # one past every width here, so both divisions meet every example
+    for cutoff in (0, sys.maxsize):
+        with mock.patch.object(_poly, "SCHOOLBOOK_BITS", cutoff):
+            for steps in range(len(m) + 1):
+                got = _poly.mat_eliminate(_poly.to_int_matrix(m), steps)
+                assert got == _bareiss_over_zx(m, steps), (cutoff, steps)
+                det_b, s, f = got
+                assert all(type(c) is F for c in det_b)
+                if s is not None:
+                    assert type(f) is F
+                    assert all(type(c) is int for row in s for p in row for c in p)
 
 
 @settings(deadline=None)

@@ -13,6 +13,7 @@ from curveinv.exactnum import SingularToKnownOrder
 from curveinv.multiplicity import MatrixCurveJet, pointwise_product
 from curveinv.parity import (
     AnalyticSegment,
+    Crossing,
     GlConnector,
     LoopPath,
     NonTransversalCrossing,
@@ -283,6 +284,66 @@ def test_chi_sum_matches_crossings_on_two_simple_roots():
     assert multiplicity_sum_parity(path).sign == crossing_parity(path).sign
 
 
+def _yun_by_gcd(p):
+    """Yun's decomposition with its first gcd(p, p') taken by ``gcd``: the
+    reference for ``squarefree_decomposition``, which reads it off a chain."""
+    p = _poly.primitive(p)
+    dp = _poly.derivative(p)
+    a = _poly.gcd(p, dp)
+    w, y = _poly.div_exact(p, a), _poly.div_exact(dp, a)
+    factors, i = [], 1
+    while _poly.degree(w) > 0:
+        z = _poly.sub(y, _poly.derivative(w))
+        a = _poly.gcd(w, z)
+        if _poly.degree(a) > 0:
+            factors.append((a, i))
+        w, y = _poly.div_exact(w, a), _poly.div_exact(z, a)
+        i += 1
+    return factors
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # -(lam^2 - 1/3)(lam - 1/2): square-free, a negative leading term
+        [[F(1, 3), 0, -1], [F(-1, 2), 1]],
+        # -lam^2 (lam^2 - 1/3): a double root at 0 beside two simple ones
+        [[0, 0, -1], [F(-1, 3), 0, 1]],
+    ],
+    ids=["squarefree", "double-root"],
+)
+def test_chi_sum_builds_one_chain_of_det_and_no_first_gcd(entries, monkeypatch):
+    path = diag_path(entries)
+    det = _poly.primitive(path.determinant_polynomial())
+    factors = _yun_by_gcd(det)
+    want = sorted(
+        [
+            Crossing(location=r, multiplicity=m)
+            for f, m in factors
+            for r in _poly.isolate_roots(_poly.sturm_chain(f), path.a, path.b)
+        ],
+        key=lambda c: c.location.midpoint(),
+    )
+    assert det[-1] < 0
+    built, gcds, decomposed = [], [], []
+    chain, gcd, decompose = _poly.sturm_chain, _poly.gcd, _poly.squarefree_decomposition
+    monkeypatch.setattr(_poly, "sturm_chain", lambda p: built.append(p) or chain(p))
+    monkeypatch.setattr(_poly, "gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
+    monkeypatch.setattr(
+        _poly,
+        "squarefree_decomposition",
+        lambda c: decomposed.append(decompose(c)) or decomposed[-1],
+    )
+    value = multiplicity_sum_parity(path)
+    # det's one chain gives Yun its first gcd; a factor equal to +-det
+    # isolates on that chain, any other on its own
+    own = [f for f, _ in factors if len(f) < len(det)]
+    assert built == [det, *own]
+    assert (det, _poly.derivative(det)) not in gcds and gcds
+    assert decomposed == [factors]
+    assert value.crossings == tuple(want)
+
+
 # -- localized parity ----------------------------------------------------------------
 
 
@@ -489,7 +550,7 @@ def test_root_machinery_against_sympy_oracle(rng):
         chain = _poly.sturm_chain(squarefree)
         check_locations(_poly.isolate_roots(chain, F(-1), F(1)), squarefree)
 
-        factors = _poly.squarefree_decomposition(p)
+        factors = _poly.squarefree_decomposition(_poly.sturm_chain(p))
         assert [(to_sympy(f).monic(), m) for f, m in factors] == [
             (f.monic(), m) for f, m in sorted(sp.sqf_list()[1], key=lambda fm: fm[1])
         ]
@@ -505,6 +566,28 @@ def test_root_machinery_against_sympy_oracle(rng):
     for a, b in (((0, 0, 1), (1, 2)), ((1, 0, 1), (0, 1))):
         with pytest.raises(ArithmeticError):
             _poly.div_exact(a, b)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(any),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+def test_squarefree_decomposition_reads_the_chain(parts, scale):
+    # Yun's first gcd read off the chain gives the gcd-based decomposition,
+    # factor for factor, with content, sign and repeated factors drawn
+    p = (scale,)
+    for coeffs, m in parts:
+        for _ in range(m):
+            p = _poly.mul(p, _poly.poly(coeffs))
+    assert _poly.squarefree_decomposition(_poly.sturm_chain(p)) == _yun_by_gcd(p)
 
 
 def test_isolate_roots_builds_one_sturm_chain(monkeypatch):

@@ -40,6 +40,17 @@ def test_route_times_checks_each_route_and_caps_each_cell():
         assert times.cell(root, 3, route, 0.001) == "> 0.001 s"
 
 
+def test_route_times_parity_cells_check_signs_against_the_interval_route():
+    times = _load("route_times")
+    root = TOOLS.parent
+    for route in times.PARITY_ROUTES:
+        # a time, and the count of paths the crossing route declines
+        cell = times.parity_cell(root, route, 120)
+        assert float(cell.split()[0]) >= 0, cell
+        assert "WRONG" not in cell and not cell.startswith("exit")
+    assert times.parity_cell(root, "chi-sum", 0.001) == "> 0.001 s"
+
+
 def test_route_times_curves_are_the_suite_draws():
     # the tool draws with the benchmark's generator: the suite's curve, draw for draw
     sys.path.insert(0, str(TOOLS.parent / "perfbench"))
