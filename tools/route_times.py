@@ -14,7 +14,7 @@ seconds.  The route's value is checked against the known multiplicity: a
 wrong value prints ``WRONG <value> != <expected>``, a documented refusal
 prints its exception's name (``NotTransversal`` where the transversal
 route declines).  A cell still running after ``TIMEOUT`` seconds of
-wall time is killed and prints ``> T s``.  The output is one markdown
+wall time is killed and prints ``> T s``.  The output is a markdown
 table, a row per size, printed as each row completes; two checkouts are
 compared by running this on each in the same spell.
 
