@@ -17,9 +17,11 @@ matrix kernels run over Z only; a rational matrix enters once, through
 ``scaled_lift``).
 One fraction-free Bareiss elimination, ``mat_eliminate``, gives both the
 determinant of a polynomial matrix (``mat_det_bareiss``) and the Schur
-complement of a leading block, with one rational factor; the adjugate of
-``mat_adjugate_det`` is modulo a power of x, as its exact divisions hold
-over Z alone.  All operations are exact, no floating point anywhere.
+complement of a leading block, with one rational factor; the
+Faddeev-LeVerrier ``mat_adjugate_det`` gives the exact adjugate and
+determinant, over Z alone, as its exact divisions hold only there.  Only
+the jet ring truncates (``mul`` with a cap); every matrix kernel is exact
+in and out.  All operations are exact, no floating point anywhere.
 
 Root isolation runs on integers.  One homogeneous Horner loop,
 ``eval_numerator(p, n, d) = sum c_i n^i d^(deg-i)``, serves every
@@ -488,9 +490,9 @@ def compose_affine(coeffs, c, s) -> tuple:
     return mat_coefficients(acc)
 
 
-def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
-    """Product of two integer polynomial matrices by Kronecker substitution;
-    with ``cap``, every entry keeps only its coefficients below x^cap.
+def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The exact product of two integer polynomial matrices, by Kronecker
+    substitution.
 
     Each entry is packed into one integer, its value at x = 2^w, and every
     output entry is one sum of ``k`` big-integer products, for ``k`` the
@@ -508,11 +510,10 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix, cap: int | None = None) -> PolyMatrix:
     la = max((len(p) for row in a for p in row), default=0)
     lb = max((len(p) for row in b for p in row), default=0)
     w = _max_bits(a) + _max_bits(b) + (k * min(la, lb)).bit_length() + 1
-    top = la + lb - 1 if cap is None else min(cap, la + lb - 1)
     pa = [[_pack(p, w) for p in row] for row in a]
     pb = [[_pack(b[t][j], w) for t in range(k)] for j in range(m)]
     return [
-        [_unpack(sum([x * y for x, y in zip(ra, cb)]), w, top) for cb in pb]
+        [_unpack(sum([x * y for x, y in zip(ra, cb)]), w, la + lb - 1) for cb in pb]
         for ra in pa
     ]
 
@@ -678,17 +679,15 @@ def scaled_lift(coeffs):
     ], d
 
 
-def mat_adjugate_det(m: PolyMatrix, mod_order: int):
-    """Adjugate and determinant of an integer polynomial matrix modulo
-    x^mod_order, via the Faddeev-LeVerrier recursion.
+def mat_adjugate_det(m: PolyMatrix):
+    """The exact adjugate and determinant of an integer polynomial matrix,
+    via the Faddeev-LeVerrier recursion.
 
     Returns ``(adj, det)`` over Z with ``m @ adj == det * I``; the empty
     matrix gives ``([], (1,))``.  The recursion only ever divides traces by
     integers 1..n, and those divisions are exact over Z, so the whole pass
     runs on plain ints.  A rational coefficient raises TypeError, as ``//``
     would floor it silently: callers scale the matrix to integers first.
-    Truncating every product modulo x^mod_order is sound because truncation
-    is a ring homomorphism and no polynomial division occurs.
     """
     if not all(type(c) is int for row in m for p in row for c in p):
         raise TypeError("mat_adjugate_det needs integer coefficients")
@@ -698,7 +697,7 @@ def mat_adjugate_det(m: PolyMatrix, mod_order: int):
     acc = [[(1,) if i == j else () for j in range(n)] for i in range(n)]  # M_1 = I
     c = (1,)
     for k in range(1, n + 1):
-        am = mat_mul(m, acc, mod_order)
+        am = mat_mul(m, acc)
         tr = ()
         for i in range(n):
             tr = add(tr, am[i][i])

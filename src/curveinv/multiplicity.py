@@ -418,13 +418,12 @@ def multiplicity_schur(
 
 
 def _exact_adjugate(curve: MatrixCurveJet):
-    """``(adj, det, det_ord, s)``: the adjugate and determinant of the
-    curve's lift scaled to integers by ``s``, exact at ``order_bound() + 1``
-    (both have degree at most n * degree), and the order of ``det``, which
-    the scale does not move.  Raises SingularToKnownOrder when det L is the
-    zero polynomial."""
+    """``(adj, det, det_ord, s)``: the exact adjugate and determinant of the
+    curve's lift scaled to integers by ``s``, and the order of ``det``,
+    which the scale does not move.  Raises SingularToKnownOrder when det L
+    is the zero polynomial."""
     lift, s = _poly.scaled_lift(curve.coefficients)
-    adj, det = _poly.mat_adjugate_det(lift, mod_order=curve.order_bound() + 1)
+    adj, det = _poly.mat_adjugate_det(lift)
     det_ord = _poly.low_order(det)
     if det_ord is None:
         raise SingularToKnownOrder(
@@ -624,8 +623,7 @@ def algebraic_order(curve: MatrixCurveJet) -> AlgebraicOrderReport:
     adj, _, det_ord, _ = _exact_adjugate(curve)
     if det_ord == 0:
         return AlgebraicOrderReport(kappa=None, determinant_order=0)
-    # the minimal adjugate order is at most det_ord, which is below the
-    # working order, so entries vanishing through it cannot attain it
+    # the adjugate is exact and nonzero: its zero entries have no order
     adj_min = min(
         _poly.low_order(adj[i][j])
         for i in range(curve.dim)

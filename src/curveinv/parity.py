@@ -27,23 +27,6 @@ from .errors import PreconditionError
 from .exactnum import SingularToKnownOrder
 from .multiplicity import MatrixCurveJet, MultiplicityReport, multiplicity_det
 
-__all__ = [
-    "NotAdmissible",
-    "NonTransversalCrossing",
-    "PolynomialPath",
-    "AnalyticSegment",
-    "GlConnector",
-    "LoopPath",
-    "Crossing",
-    "ParityValue",
-    "RootLocation",
-    "interval_parity",
-    "crossing_parity",
-    "multiplicity_sum_parity",
-    "local_parity",
-    "loop_parity",
-]
-
 
 class NotAdmissible(PreconditionError):
     """The path is singular at an endpoint."""

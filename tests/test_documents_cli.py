@@ -1,6 +1,8 @@
 """Document round-trips, CLI behavior and the exit-code contract."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_with_known_multiplicity
 from curveinv import cli, documents, errors, fixtures, multiplicity, torsion
@@ -49,6 +53,24 @@ def test_loop_round_trip():
         doc = documents.loop_to_document(loop)
         again = documents.loop_from_document(json.loads(documents.dumps(doc)))
         assert again == loop
+
+
+@pytest.mark.parametrize(
+    "name, to_document, build",
+    [
+        ("np_curve.json", documents.curve_to_document, fixtures.normalization_curve),
+        ("nilpotent_shift.json", documents.curve_to_document, fixtures.nilpotent_shift_curve),
+        ("zero_curve.json", documents.curve_to_document, fixtures.zero_curve),
+        ("crossing_path.json", documents.path_to_document, fixtures.crossing_path),
+        ("twisted_loop.json", documents.loop_to_document, fixtures.twisted_loop),
+        ("constant_loop.json", documents.loop_to_document, fixtures.constant_loop),
+    ],
+)
+def test_fixture_documents_are_the_fixtures_objects(name, to_document, build):
+    # the CLI tests and the benchmark read these files, the library tests
+    # build the objects in code: both must be the same objects
+    with open(fx(name), encoding="utf-8") as fh:
+        assert fh.read() == documents.dumps(to_document(build()))
 
 
 def test_matrix_round_trip():
@@ -733,6 +755,87 @@ def test_orientable_exits_3_where_the_torsion_criterion_cannot_decide(argv, caps
     assert captured.out == ""
     assert captured.err.startswith("precondition violated: ")
     assert captured.err.count("\n") == 1
+
+
+# A grammar of torus-command argvs.  Every draw stays cheap: a lattice sum
+# stops at its first term that underflows, by m = 1100 at period 0.05 and
+# by m = 110 from period 0.5 up; the periods 1e-10 and 1e-300 are refused
+# before the sum runs, at every drawn cutoff (the tail ratio rounds to 1,
+# or the sum would pass MAX_TERMS).  ``torsion table`` makes one sum a row
+# and accepts n <= 3 here, ``weights`` makes one sum and at most
+# (2*4 + 1)^3 = 729 rows, and every larger table is refused by MAX_ROWS
+# before it is built.  So a draw adds at most about 10^4 lattice terms and
+# 10^3 rows.
+_PERIODS = st.one_of(
+    st.sampled_from(["0", "-1", "-0.0", "1e-300", "1e-10", "1e308", "inf", "-inf",
+                     "nan", "0.05", "0.1", "0.3", "x"]),
+    *[st.floats(0.5, 100).map(repr)] * 2,
+)
+_CUTOFFS = st.one_of(
+    st.sampled_from(["-1", "0", "x", "1.5"]),
+    *[st.sampled_from(["1", "2", "12", "100", "10000", str(torsion.MAX_TERMS + 1),
+                       str(10**20)])] * 2,
+)
+_TOLS = st.one_of(
+    st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "-inf", "1e-300", "0.5",
+                     "1e308", "x"]),
+    *[st.floats(1e-15, 1.0).map(repr)] * 2,
+)
+_JUNK = st.sampled_from(["x", "1.5", "", "0x10", "1e3", "9" * 5000])
+_HUGE = st.sampled_from([cli.MAX_ROWS, cli.MAX_ROWS + 1, 10**30])
+
+
+def _integer_flag(small):
+    return st.one_of(*[small] * 4, _HUGE, _JUNK)
+
+
+@st.composite
+def _signs(draw, n):
+    """A sign list of n entries, one off, or of 0-3 entries, some malformed."""
+    sizes = [draw(st.integers(0, 3))]
+    if isinstance(n, int) and n <= 12:
+        sizes += [max(n + d, 0) for d in (0, 0, 0, -1, 1)]
+    size = draw(st.sampled_from(sizes))
+    entries = ["1", "-1"] if draw(st.booleans()) else ["1", "-1", "+1", "0", "2", "x", " "]
+    entry = st.sampled_from(entries)
+    return ",".join(draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+@st.composite
+def torus_argvs(draw):
+    command = draw(st.sampled_from(["torsion", "torsion table", "theta", "weights",
+                                    "orientable"]))
+    argv = command.split()
+    flags = {}
+    if command == "theta":
+        flags["kind"] = st.sampled_from(["plain", "alternating", "other"])
+    else:
+        small = st.integers(-2, 3 if command in ("torsion table", "weights") else 12)
+        n = draw(_integer_flag(small))
+        argv.append(f"--n={n}")
+        flags["period"] = _PERIODS
+        if command == "weights":
+            flags["max-class"] = _integer_flag(st.integers(-2, 4))
+        elif command != "torsion table":
+            flags["signs"] = _signs(n)
+            flags["tol"] = _TOLS
+    flags["cutoff"] = _CUTOFFS
+    for flag, values in flags.items():
+        # --signs is left out now and then, every other flag half the time
+        if draw(st.integers(0, 5 if flag == "signs" else 1)):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(torus_argvs())
+def test_torus_flags_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code in (3, 4):
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 # -- output stability -------------------------------------------------------------------
